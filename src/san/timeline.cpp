@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "core/counting_scatter.hpp"
 #include "core/parallel.hpp"
 #include "graph/slack.hpp"
+#include "obs/trace.hpp"
 
 namespace san {
 namespace {
@@ -75,10 +77,34 @@ void apply_suffix_permutation(std::vector<T>& column, std::size_t pos,
 
 }  // namespace
 
+// Attribute links of one build: the filtered prefix in time order, plus
+// every dropped link (those activate later, when their user joins or their
+// attribute is created).
+struct SanTimeline::AttrLinkBuffers {
+  std::vector<NodeId> users;
+  std::vector<AttrId> attrs;
+  std::vector<std::pair<NodeId, AttrId>> deferred;
+};
+
+// Full-network link index behind the dense path: the out- and in-CSR of
+// the whole social log. Node u's entries [off[u], off[u + 1]) are sorted by
+// neighbour id, and each carries its link's position in the time-sorted log,
+// so the snapshot at t is the entries with pos < edge_prefix(t) and
+// neighbour < n_social(t) — the latter a prefix of every list.
+struct SanTimeline::LinkIndex {
+  struct Entry {
+    NodeId node;
+    std::uint32_t pos;
+  };
+  std::vector<std::uint64_t> out_off, in_off;
+  std::vector<Entry> out, in;
+};
+
 struct SanTimeline::Scratch {
-  // Social CSR build: shared counting-scatter engines plus the arrays
+  // Slack social CSR build: shared counting-scatter engines plus the arrays
   // handed to the snapshot's CsrGraph by buffer swap (adopt_adjacency), so
-  // a sweep ping-pongs two buffer sets with zero steady-state allocation.
+  // full rebuilds ping-pong two buffer sets with zero steady-state
+  // allocation.
   core::StableCountingScatter by_src, by_dst, by_rank;
   std::vector<std::uint64_t> counts;
   std::vector<NodeId> g_dst;  // src-major dst sequence, dense ranks
@@ -86,13 +112,10 @@ struct SanTimeline::Scratch {
   std::vector<std::uint32_t> out_len, in_len;
   std::vector<NodeId> out_targets, in_targets;
   std::vector<std::uint64_t> dense_out, dense_in;  // dense rank prefixes
-  // Attribute links: filtered prefix, time order.
-  std::vector<NodeId> users;
-  std::vector<AttrId> attrs;
+  AttrLinkBuffers attr_links;
 
   // Delta-sweep state: which snapshot this scratch last produced, the log
-  // prefixes it covers, and every logged link it had to drop (those
-  // activate later, when their missing endpoint joins or gets created).
+  // prefixes it covers, and every logged social link it had to drop.
   bool delta_valid = false;
   const SanSnapshot* delta_snap = nullptr;
   double delta_time = 0.0;
@@ -106,7 +129,6 @@ struct SanTimeline::Scratch {
   // (a foreign snapshot), which forces a full build.
   std::size_t attr_total = 0;
   std::vector<std::pair<NodeId, NodeId>> deferred_edges;
-  std::vector<std::pair<NodeId, AttrId>> deferred_attr;
   // advance() working sets.
   std::vector<std::pair<NodeId, NodeId>> delta_edges;
   std::vector<NodeId> delta_src, delta_dst;
@@ -120,10 +142,6 @@ SanTimeline::Materializer::Materializer(const SanTimeline& timeline)
     : timeline_(&timeline), scratch_(std::make_unique<Scratch>()) {}
 
 SanTimeline::Materializer::~Materializer() = default;
-
-void SanTimeline::Materializer::materialize(double time, SanSnapshot& snap) {
-  timeline_->materialize(time, snap, *scratch_, /*slack=*/false);
-}
 
 void SanTimeline::Materializer::advance(double time, SanSnapshot& snap) {
   timeline_->advance(time, snap, *scratch_);
@@ -207,6 +225,7 @@ void SanTimeline::absorb(const SocialAttributeNetwork& network) {
     throw std::invalid_argument(
         "SanTimeline::absorb: network holds fewer events than the index");
   }
+  index_.reset();
 
   // Social nodes: join times are non-decreasing (the network enforces it)
   // and ids are chronological, so node rows append without a merge.
@@ -290,12 +309,119 @@ void SanTimeline::absorb(const SocialAttributeNetwork& network) {
   }
 }
 
-// Social edges: radix-order the <= t slice into the final out/in CSR
+const SanTimeline::LinkIndex& SanTimeline::link_index() const {
+  // Serial by design: a core-substrate pool lane may be blocked on this
+  // mutex, so the build must never wait on pool work.
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  if (index_) return *index_;
+  obs::TraceSpan span("timeline.index");
+  const std::size_t m = edge_time_.size();
+  if (m > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "SanTimeline: social log exceeds 2^32-1 links, the link index "
+        "position limit");
+  }
+  const std::size_t n = social_node_times_.size();
+  const auto valid = [&](std::size_t i) {
+    return edge_src_[i] < n && edge_dst_[i] < n;
+  };
+  const auto prefix_sum = [&](std::vector<std::uint64_t>& off) {
+    for (std::size_t u = 0; u < n; ++u) off[u + 1] += off[u];
+  };
+  auto index = std::make_unique<LinkIndex>();
+  index->out_off.assign(n + 1, 0);
+  index->in_off.assign(n + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!valid(i)) continue;
+    ++index->out_off[edge_src_[i] + 1];
+    ++index->in_off[edge_dst_[i] + 1];
+  }
+  prefix_sum(index->out_off);
+  prefix_sum(index->in_off);
+  const std::size_t kept = index->out_off[n];
+
+  // Three stable counting scatters. Log positions grouped by source; those
+  // grouped by target (sources ascending per target: the in-CSR); and the
+  // in-CSR regrouped by source (targets ascending per source: the out-CSR).
+  std::vector<std::uint64_t> cursor(index->out_off.begin(),
+                                    index->out_off.end() - 1);
+  std::vector<std::uint32_t> by_src(kept);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (valid(i)) {
+      by_src[cursor[edge_src_[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  cursor.assign(index->in_off.begin(), index->in_off.end() - 1);
+  index->in.resize(kept);
+  for (const std::uint32_t i : by_src) {
+    index->in[cursor[edge_dst_[i]]++] = {edge_src_[i], i};
+  }
+  cursor.assign(index->out_off.begin(), index->out_off.end() - 1);
+  index->out.resize(kept);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::uint64_t k = index->in_off[v]; k < index->in_off[v + 1]; ++k) {
+      const auto [u, pos] = index->in[k];
+      index->out[cursor[u]++] = {static_cast<NodeId>(v), pos};
+    }
+  }
+  index_ = std::move(index);
+  return *index_;
+}
+
+// Dense social layer: filter the link index. One chunk-parallel pass counts
+// each joined node's surviving entries per direction, a serial prefix sum
+// lays them out, and one chunk-parallel pass copies them — already sorted,
+// because each index list is. Per-node writes are disjoint, so the result
+// is byte-identical at any thread count.
+std::size_t SanTimeline::filter_social(std::size_t n_social,
+                                       std::size_t edge_prefix,
+                                       SanSnapshot& snap) const {
+  const LinkIndex& index = link_index();
+  // Visits node u's surviving entries: neighbours < n_social form a prefix
+  // of its sorted list.
+  const auto for_each_kept = [&](const std::vector<std::uint64_t>& off,
+                                 const std::vector<LinkIndex::Entry>& entries,
+                                 std::size_t u, auto&& fn) {
+    for (std::uint64_t k = off[u]; k < off[u + 1]; ++k) {
+      const LinkIndex::Entry& e = entries[k];
+      if (e.node >= n_social) break;
+      if (e.pos < edge_prefix) fn(e.node);
+    }
+  };
+
+  std::vector<std::uint32_t> out_len(n_social), in_len(n_social);
+  core::parallel_for(n_social, [&](std::size_t u) {
+    std::uint32_t out = 0, in = 0;
+    for_each_kept(index.out_off, index.out, u, [&](NodeId) { ++out; });
+    for_each_kept(index.in_off, index.in, u, [&](NodeId) { ++in; });
+    out_len[u] = out;
+    in_len[u] = in;
+  });
+  std::vector<std::uint64_t> out_off(n_social + 1, 0), in_off(n_social + 1, 0);
+  for (std::size_t u = 0; u < n_social; ++u) {
+    out_off[u + 1] = out_off[u] + out_len[u];
+    in_off[u + 1] = in_off[u] + in_len[u];
+  }
+  std::vector<NodeId> out_targets(out_off[n_social]);
+  std::vector<NodeId> in_targets(in_off[n_social]);
+  core::parallel_for(n_social, [&](std::size_t u) {
+    NodeId* out = out_targets.data() + out_off[u];
+    NodeId* in = in_targets.data() + in_off[u];
+    for_each_kept(index.out_off, index.out, u, [&](NodeId v) { *out++ = v; });
+    for_each_kept(index.in_off, index.in, u, [&](NodeId v) { *in++ = v; });
+  });
+  const std::size_t kept = out_targets.size();
+  snap.social.adopt_adjacency(n_social, out_off, out_len, out_targets, in_off,
+                              in_len, in_targets);
+  return edge_prefix - kept;
+}
+
+// Slack social layer: radix-order the <= t slice into the final out/in CSR
 // arrays with chunk-parallel stable counting sorts
 // (core/counting_scatter.hpp) — O(prefix + nodes), no comparison sort, no
 // dedup branches (the network rejects duplicate and self links at insert
-// time). A slack build reserves per-node headroom so advance() can append
-// later days in place.
+// time). Every node gets slack headroom so advance() can append later
+// days in place.
 //
 // The pipeline is FUSED to four passes over the data: the validity filter
 // rides inside the src count (invalid links simply don't emit — both
@@ -307,9 +433,9 @@ void SanTimeline::absorb(const SocialAttributeNetwork& network) {
 // (positions are all a fused count sees); ascending storage order equals
 // ascending (dst, src) order, so stable ranks — and every output byte —
 // are identical to the unfused pipeline.
-void SanTimeline::build_social(std::size_t n_social, std::size_t edge_prefix,
-                               SanSnapshot& snap, Scratch& s,
-                               bool slack) const {
+std::size_t SanTimeline::build_social(std::size_t n_social,
+                                      std::size_t edge_prefix,
+                                      SanSnapshot& snap, Scratch& s) const {
   s.deferred_edges.clear();
   const NodeId* log_src = edge_src_.data();
   const NodeId* log_dst = edge_dst_.data();
@@ -325,9 +451,7 @@ void SanTimeline::build_social(std::size_t n_social, std::size_t edge_prefix,
     dense.assign(n_social + 1, 0);
     for (std::size_t u = 0; u < n_social; ++u) {
       len[u] = static_cast<std::uint32_t>(s.counts[u]);
-      const std::size_t cap =
-          slack ? graph::slack_capacity(s.counts[u]) : s.counts[u];
-      off[u + 1] = off[u] + cap;
+      off[u + 1] = off[u] + graph::slack_capacity(s.counts[u]);
       dense[u + 1] = dense[u] + s.counts[u];
     }
   };
@@ -406,6 +530,7 @@ void SanTimeline::build_social(std::size_t n_social, std::size_t edge_prefix,
 
   snap.social.adopt_adjacency(n_social, s.out_off, s.out_len, s.out_targets,
                               s.in_off, s.in_len, s.in_targets);
+  return s.deferred_edges.size();
 }
 
 // Attribute links: the prefix is already in stable time order, so a
@@ -414,30 +539,33 @@ void SanTimeline::build_social(std::size_t n_social, std::size_t edge_prefix,
 // their attribute is created.
 void SanTimeline::build_attribute_links(std::size_t n_social,
                                         std::size_t link_prefix,
-                                        SanSnapshot& snap, Scratch& s,
+                                        SanSnapshot& snap,
+                                        AttrLinkBuffers& buffers,
                                         bool slack) const {
-  s.users.clear();
-  s.attrs.clear();
-  s.deferred_attr.clear();
+  buffers.users.clear();
+  buffers.attrs.clear();
+  buffers.deferred.clear();
   for (std::size_t i = 0; i < link_prefix; ++i) {
     if (link_user_[i] >= n_social || !snap.attribute_created[link_attr_[i]]) {
-      s.deferred_attr.emplace_back(link_user_[i], link_attr_[i]);
+      buffers.deferred.emplace_back(link_user_[i], link_attr_[i]);
       continue;
     }
-    s.users.push_back(link_user_[i]);
-    s.attrs.push_back(link_attr_[i]);
+    buffers.users.push_back(link_user_[i]);
+    buffers.attrs.push_back(link_attr_[i]);
   }
-  snap.attribute.rebuild_from_links(n_social, attr_times_.size(), s.users,
-                                    s.attrs, slack);
+  snap.attribute.rebuild_from_links(n_social, attr_times_.size(),
+                                    buffers.users, buffers.attrs, slack);
 }
 
-void SanTimeline::materialize(double time, SanSnapshot& snap, Scratch& s,
-                              bool slack) const {
+void SanTimeline::materialize(double time, SanSnapshot& snap,
+                              Scratch* slack) const {
   snap.time = time;
 
   const std::size_t n_social = prefix_at(social_node_times_, time);
   const std::size_t edge_prefix = prefix_at(edge_time_, time);
-  build_social(n_social, edge_prefix, snap, s, slack);
+  const std::size_t dropped_edges =
+      slack ? build_social(n_social, edge_prefix, snap, *slack)
+            : filter_social(n_social, edge_prefix, snap);
 
   // Attribute nodes created by t; ids stay dense and aligned.
   const std::size_t n_attr = attr_times_.size();
@@ -452,19 +580,22 @@ void SanTimeline::materialize(double time, SanSnapshot& snap, Scratch& s,
   snap.created_attribute_count = created_prefix;
 
   const std::size_t link_prefix = prefix_at(link_time_, time);
-  build_attribute_links(n_social, link_prefix, snap, s, slack);
+  AttrLinkBuffers dense_links;
+  AttrLinkBuffers& links = slack ? slack->attr_links : dense_links;
+  build_attribute_links(n_social, link_prefix, snap, links, slack != nullptr);
   snap.attribute_link_count = snap.attribute.link_count();
-  snap.dropped_link_count = s.deferred_edges.size() + s.deferred_attr.size();
+  snap.dropped_link_count = dropped_edges + links.deferred.size();
+  if (!slack) return;
 
   // A slack build is advance-ready: remember what `snap` now holds.
-  s.delta_valid = slack;
-  s.delta_snap = slack ? &snap : nullptr;
-  s.delta_time = time;
-  s.n_social = n_social;
-  s.edge_prefix = edge_prefix;
-  s.link_prefix = link_prefix;
-  s.created_prefix = created_prefix;
-  s.attr_total = n_attr;
+  slack->delta_valid = true;
+  slack->delta_snap = &snap;
+  slack->delta_time = time;
+  slack->n_social = n_social;
+  slack->edge_prefix = edge_prefix;
+  slack->link_prefix = link_prefix;
+  slack->created_prefix = created_prefix;
+  slack->attr_total = n_attr;
 }
 
 void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
@@ -477,7 +608,7 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
       snap.social.node_count() != s.n_social ||
       snap.attribute_created.size() != s.attr_total ||
       snap.created_attribute_count != s.created_prefix) {
-    materialize(time, snap, s, /*slack=*/true);
+    materialize(time, snap, &s);
     return;
   }
   // The timeline may have absorbed new attribute nodes since this snapshot
@@ -526,7 +657,7 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
     if (!snap.social.append_sorted_links(n_new, s.delta_src, s.delta_dst)) {
       // Slack exhausted somewhere: full rebuild re-reserves against the
       // grown degrees (amortized-doubling, so this stays rare).
-      build_social(n_new, edge_prefix_new, snap, s, /*slack=*/true);
+      build_social(n_new, edge_prefix_new, snap, s);
     }
   }
 
@@ -542,21 +673,22 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   // of its members_of list (global time order), which append cannot
   // express — rebuild the layer instead. ----
   bool activated = false;
-  for (const auto& [u, a] : s.deferred_attr) {
+  for (const auto& [u, a] : s.attr_links.deferred) {
     if (u < n_new && snap.attribute_created[a]) {
       activated = true;
       break;
     }
   }
   if (activated) {
-    build_attribute_links(n_new, link_prefix_new, snap, s, /*slack=*/true);
+    build_attribute_links(n_new, link_prefix_new, snap, s.attr_links,
+                          /*slack=*/true);
   } else {
     s.delta_users.clear();
     s.delta_attrs.clear();
     for (std::size_t i = s.link_prefix; i < link_prefix_new; ++i) {
       if (link_user_[i] >= n_new ||
           !snap.attribute_created[link_attr_[i]]) {
-        s.deferred_attr.emplace_back(link_user_[i], link_attr_[i]);
+        s.attr_links.deferred.emplace_back(link_user_[i], link_attr_[i]);
       } else {
         s.delta_users.push_back(link_user_[i]);
         s.delta_attrs.push_back(link_attr_[i]);
@@ -566,14 +698,15 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
         n_attr > snap.attribute.right_count()) {
       if (!snap.attribute.append_links(n_new, n_attr, s.delta_users,
                                        s.delta_attrs)) {
-        build_attribute_links(n_new, link_prefix_new, snap, s,
+        build_attribute_links(n_new, link_prefix_new, snap, s.attr_links,
                               /*slack=*/true);
       }
     }
   }
 
   snap.attribute_link_count = snap.attribute.link_count();
-  snap.dropped_link_count = s.deferred_edges.size() + s.deferred_attr.size();
+  snap.dropped_link_count =
+      s.deferred_edges.size() + s.attr_links.deferred.size();
   snap.time = time;
   s.delta_time = time;
   s.n_social = n_new;
@@ -583,9 +716,8 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
 }
 
 SanSnapshot SanTimeline::snapshot_at(double time) const {
-  Scratch s;
   SanSnapshot snap;
-  materialize(time, snap, s, /*slack=*/false);
+  materialize(time, snap, nullptr);
   return snap;
 }
 
@@ -607,10 +739,9 @@ void SanTimeline::sweep(
 void SanTimeline::sweep_full_rebuild(
     std::span<const double> times,
     const std::function<void(double, const SanSnapshot&)>& visit) const {
-  Scratch s;
   SanSnapshot snap;
   for (const double time : times) {
-    materialize(time, snap, s, /*slack=*/false);
+    materialize(time, snap, nullptr);
     visit(time, snap);
   }
 }

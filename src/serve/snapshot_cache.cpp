@@ -39,7 +39,6 @@ std::shared_ptr<const SanSnapshot> SnapshotCache::at(double time) {
 
   std::shared_future<Handle> wait_on;
   std::optional<std::promise<Handle>> promise;
-  std::unique_ptr<SanTimeline::Materializer> materializer;
   std::function<void(double)> hook;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -67,14 +66,6 @@ std::shared_ptr<const SanSnapshot> SnapshotCache::at(double time) {
       peak_inflight_->update_max(static_cast<std::int64_t>(inflight_.size()));
       hook = miss_hook_;
     }
-    if (!wait_on.valid()) {
-      if (idle_.empty()) {
-        materializer = std::make_unique<SanTimeline::Materializer>(timeline_);
-      } else {
-        materializer = std::move(idle_.back());
-        idle_.pop_back();
-      }
-    }
   }
   if (wait_on.valid()) return wait_on.get();
 
@@ -84,25 +75,21 @@ std::shared_ptr<const SanSnapshot> SnapshotCache::at(double time) {
   Handle handle;
   try {
     if (hook) hook(time);
-    auto snap = std::make_shared<SanSnapshot>();
-    {
-      obs::TraceSpan span("cache.materialize");
-      obs::ScopedTimer timer(materialize_ns_.get());
-      materializer->materialize(time, *snap);
-    }
-    handle = std::move(snap);
+    obs::TraceSpan span("cache.materialize");
+    obs::ScopedTimer timer(materialize_ns_.get());
+    handle = std::make_shared<const SanSnapshot>(timeline_.snapshot_at(time));
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (promise) inflight_.erase(time);
-      idle_.push_back(std::move(materializer));
+    if (promise) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        inflight_.erase(time);
+      }
+      promise->set_exception(std::current_exception());
     }
-    if (promise) promise->set_exception(std::current_exception());
     throw;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(materializer));
     if (!promise) return handle;  // unregistered duplicate: no insert
     if (lru_.size() >= capacity_) {
       evictions_->add();

@@ -1,8 +1,8 @@
 // LRU cache of materialized SanSnapshots, the storage layer of the serving
 // engine (serve/query_engine.hpp). A SanTimeline makes one snapshot cheap —
-// O(links <= t) — but a query workload concentrated on a few popular days
-// would still re-materialize the same CSR over and over. The cache keys
-// snapshots by their exact query time and hands them out as
+// a filter over its link index — but a query workload concentrated on a
+// few popular days would still re-materialize the same CSR over and over.
+// The cache keys snapshots by their exact query time and hands them out as
 // shared_ptr<const SanSnapshot> (an evicted snapshot stays valid for every
 // query still holding it).
 //
@@ -14,9 +14,10 @@
 // one exception: a duplicate request arriving on a core-substrate pool
 // lane (core::in_parallel_region()) must not block on a foreign build —
 // the builder may be queued behind that very pool job — so it builds a
-// private unregistered copy instead of waiting. Materializer scratch sets
-// are pooled: steady-state misses recycle buffer capacity, and the pool
-// high-water mark equals the peak miss concurrency.
+// private unregistered copy instead of waiting. A miss is one
+// SanTimeline::snapshot_at call, which needs no per-call scratch; the first
+// miss also builds the timeline's link index, serially, so a pool lane
+// waiting on that build never waits on pool work.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "san/timeline.hpp"
@@ -159,9 +159,6 @@ class SnapshotCache {
   DerivedCache derived_;
 
   mutable std::mutex mutex_;
-  // Idle Materializer pool (guarded by mutex_); one is checked out per
-  // in-flight miss and returned when it lands.
-  std::vector<std::unique_ptr<SanTimeline::Materializer>> idle_;
   std::unordered_map<double, std::shared_future<Handle>> inflight_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<double, std::list<Entry>::iterator> index_;

@@ -10,11 +10,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
 #include "graph/bipartite_csr.hpp"
+#include "obs/trace.hpp"
 #include "san/san_metrics.hpp"
 #include "san/serialization.hpp"
 #include "san_testlib.hpp"
@@ -88,6 +93,56 @@ void check_equivalence_at_random_times(const SocialAttributeNetwork& net,
                              timeline.max_time());
 }
 
+/// Links logged with timestamps before their endpoint joins (or their
+/// attribute is created): dropped at early days, they must ACTIVATE —
+/// including mid-list in members_of time order — once the endpoint
+/// arrives.
+SocialAttributeNetwork activation_network() {
+  SocialAttributeNetwork net;
+  net.add_social_node(1.0);
+  net.add_social_node(1.0);
+  net.add_social_node(2.0);
+  net.add_social_node(6.0);
+  const auto a = net.add_attribute_node(AttributeType::kCity, "SF", 1.0);
+  const auto b = net.add_attribute_node(AttributeType::kEmployer, "G", 5.0);
+  net.add_social_link(1, 2, 1.2);  // predates node 2's join (2.0)
+  net.add_social_link(0, 1, 1.5);
+  net.add_social_link(0, 3, 1.7);  // predates node 3's join (6.0)
+  net.add_social_link(1, 0, 2.5);
+  net.add_attribute_link(2, a, 1.1);  // predates user 2's join
+  net.add_attribute_link(0, a, 1.3);
+  net.add_attribute_link(1, b, 3.0);  // predates attribute b (5.0)
+  net.add_attribute_link(1, a, 4.0);
+  return net;
+}
+
+/// add_* allows locally out-of-order link timestamps (e.g. a clamped link
+/// time exceeding a later event's); the stable time sort must agree with
+/// the naive filter at every cut.
+SocialAttributeNetwork out_of_order_network() {
+  SocialAttributeNetwork net;
+  net.add_social_node(1.0);
+  net.add_social_node(1.0);
+  net.add_social_node(2.0);
+  const auto a = net.add_attribute_node(AttributeType::kCity, "SF", 1.0);
+  const auto b = net.add_attribute_node(AttributeType::kEmployer, "G", 1.0);
+  net.add_social_link(0, 2, 3.0);  // later time logged first
+  net.add_social_link(0, 1, 1.5);
+  net.add_social_link(1, 0, 2.5);
+  net.add_attribute_link(1, b, 2.0);
+  net.add_attribute_link(0, a, 1.0);
+  net.add_attribute_link(2, a, 4.0);
+  return net;
+}
+
+/// Every cut of the small hand-built networks above, plus one before the
+/// first event and t = +inf.
+std::vector<double> edge_case_times() {
+  return {-1.0, 0.5, 1.0, 1.1, 1.4, 1.5, 1.8, 1.9, 2.0, 2.5, 3.0,
+          3.5,  4.0, 4.5, 5.0, 5.5, 6.0, 9.0,
+          std::numeric_limits<double>::infinity()};
+}
+
 TEST(Timeline, MatchesNaiveSnapshotsOnModelSan) {
   check_equivalence_at_random_times(san::testlib::model_san(600, 11), 25, 99);
 }
@@ -146,9 +201,77 @@ TEST(Timeline, EmptyNetwork) {
   const SocialAttributeNetwork net;
   const SanTimeline timeline(net);
   EXPECT_EQ(timeline.max_time(), 0.0);
-  const auto snap = timeline.snapshot_at(5.0);
-  EXPECT_EQ(snap.social_node_count(), 0u);
-  EXPECT_EQ(snap.attribute_link_count, 0u);
+  for (const double t : edge_case_times()) {
+    const auto snap = timeline.snapshot_at(t);
+    EXPECT_EQ(snap.social_node_count(), 0u);
+    EXPECT_EQ(snap.attribute_link_count, 0u);
+    expect_snapshots_identical(snap, snapshot_at(net, t), t);
+  }
+}
+
+TEST(Timeline, AbsorbDropsTheLinkIndex) {
+  // Grow a network after its timeline has served a dense snapshot (which
+  // built the link index): once absorbed, snapshot_at must equal a freshly
+  // built timeline's, at cuts before and after the new events — a stale
+  // index would miss the new links or read past its node range.
+  auto net = san::testlib::synthetic_gplus(600, 41);
+  SanTimeline timeline(net);
+  const double old_max = timeline.max_time();
+  (void)timeline.snapshot_at(old_max / 2.0);
+
+  const NodeId first_new = static_cast<NodeId>(net.social_node_count());
+  for (int i = 0; i < 5; ++i) net.add_social_node(old_max + 1.0);
+  ASSERT_TRUE(net.add_social_link(first_new, 0, old_max + 1.5));
+  ASSERT_TRUE(net.add_social_link(1, first_new + 1, old_max + 2.0));
+  // Late: the first absent 0 -> v link, inside the old time range.
+  NodeId v = 1;
+  while (!net.add_social_link(0, v, old_max / 4.0)) ++v;
+  ASSERT_LT(v, first_new);
+  ASSERT_TRUE(net.add_social_link(first_new + 2, first_new + 3, old_max + 0.5));
+  ASSERT_TRUE(net.add_attribute_link(first_new + 4, 0, old_max + 2.5));
+  timeline.absorb(net);
+
+  const SanTimeline fresh(net);
+  for (const double t : {old_max / 4.0, old_max / 2.0, old_max + 1.0,
+                         old_max + 1.5, old_max + 3.0}) {
+    const auto snap = timeline.snapshot_at(t);
+    expect_snapshots_identical(snap, fresh.snapshot_at(t), t);
+    expect_snapshots_identical(snap, snapshot_at(net, t), t);
+  }
+}
+
+TEST(Timeline, RacingFirstSnapshotsBuildTheIndexOnce) {
+  // Eight threads released together into one timeline's first dense
+  // snapshot: the lazily built link index is shared state, so exactly one
+  // of them may build it (one "timeline.index" span) and all must agree
+  // with a snapshot of an independent timeline.
+  const auto net = san::testlib::synthetic_gplus(1'500, 23);
+  const SanTimeline timeline(net);
+  const double t = timeline.max_time() * 0.6;
+  const std::uint64_t expected =
+      san::testlib::snapshot_fingerprint(SanTimeline(net).snapshot_at(t));
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::uint64_t> fingerprints(kThreads, 0);
+  std::latch start(kThreads);
+  san::obs::set_tracing_enabled(true);
+  const std::uint64_t spans_before = san::obs::span_count();
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        fingerprints[i] =
+            san::testlib::snapshot_fingerprint(timeline.snapshot_at(t));
+      });
+    }
+  }
+  const std::uint64_t index_builds = san::obs::span_count() - spans_before;
+  san::obs::set_tracing_enabled(false);
+  EXPECT_EQ(index_builds, 1u);
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(fingerprints[i], expected) << "thread " << i;
+  }
 }
 
 // ---- Delta sweep (Materializer::advance). ----
@@ -167,34 +290,23 @@ TEST(Timeline, AdvanceMatchesNaiveDayByDay) {
 }
 
 TEST(Timeline, AdvanceActivatesLinksThatPredateTheirEndpoints) {
-  // Links logged with timestamps before their endpoint joins (or their
-  // attribute is created) are dropped at early days and must ACTIVATE —
-  // including mid-list in members_of time order — once the endpoint
-  // arrives. This drives advance()'s rebuild fallbacks.
-  SocialAttributeNetwork net;
-  net.add_social_node(1.0);
-  net.add_social_node(1.0);
-  net.add_social_node(2.0);
-  net.add_social_node(6.0);
-  const auto a = net.add_attribute_node(AttributeType::kCity, "SF", 1.0);
-  const auto b = net.add_attribute_node(AttributeType::kEmployer, "G", 5.0);
-  net.add_social_link(1, 2, 1.2);  // predates node 2's join (2.0)
-  net.add_social_link(0, 1, 1.5);
-  net.add_social_link(0, 3, 1.7);  // predates node 3's join (6.0)
-  net.add_social_link(1, 0, 2.5);
-  net.add_attribute_link(2, a, 1.1);  // predates user 2's join
-  net.add_attribute_link(0, a, 1.3);
-  net.add_attribute_link(1, b, 3.0);  // predates attribute b (5.0)
-  net.add_attribute_link(1, a, 4.0);
+  // Drives advance()'s rebuild fallbacks as deferred links activate, and
+  // the dense path's filter, which drops a link (and counts it in
+  // dropped_link_count) until its endpoint's cut.
+  const auto net = activation_network();
   const SanTimeline timeline(net);
 
   SanTimeline::Materializer materializer(timeline);
   SanSnapshot snap;
-  for (const double t :
-       {0.5, 1.0, 1.4, 1.8, 1.9, 2.0, 2.5, 3.5, 4.5, 5.0, 5.5, 6.0, 9.0}) {
+  std::uint64_t dropped_anywhere = 0;
+  for (const double t : edge_case_times()) {
     materializer.advance(t, snap);
     expect_snapshots_identical(snap, snapshot_at(net, t), t);
+    expect_snapshots_identical(timeline.snapshot_at(t), snapshot_at(net, t),
+                               t);
+    dropped_anywhere += snap.dropped_link_count;
   }
+  EXPECT_GT(dropped_anywhere, 0u) << "the network must exercise drops";
 }
 
 TEST(Timeline, AdvanceFallsBackOnFreshSnapshotAndRegression) {
@@ -270,23 +382,9 @@ TEST(Timeline, SweepByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Timeline, OutOfOrderLogTimesStillMatchNaive) {
-  // add_* allows locally out-of-order link timestamps (e.g. a clamped link
-  // time exceeding a later event's); the stable time sort must agree with
-  // the naive filter at every cut.
-  SocialAttributeNetwork net;
-  net.add_social_node(1.0);
-  net.add_social_node(1.0);
-  net.add_social_node(2.0);
-  const auto a = net.add_attribute_node(AttributeType::kCity, "SF", 1.0);
-  const auto b = net.add_attribute_node(AttributeType::kEmployer, "G", 1.0);
-  net.add_social_link(0, 2, 3.0);  // later time logged first
-  net.add_social_link(0, 1, 1.5);
-  net.add_social_link(1, 0, 2.5);
-  net.add_attribute_link(1, b, 2.0);
-  net.add_attribute_link(0, a, 1.0);
-  net.add_attribute_link(2, a, 4.0);
+  const auto net = out_of_order_network();
   const SanTimeline timeline(net);
-  for (const double t : {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 9.0}) {
+  for (const double t : edge_case_times()) {
     expect_snapshots_identical(timeline.snapshot_at(t), snapshot_at(net, t), t);
   }
 }
