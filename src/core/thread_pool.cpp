@@ -38,13 +38,18 @@ void ThreadPool::set_thread_count(std::size_t n) {
 }
 
 void ThreadPool::spawn_workers(std::size_t count) {
+  std::uint64_t epoch = 0;
   {
     std::lock_guard lock(mutex_);
     stopping_ = false;
+    epoch = epoch_;
   }
+  // A new worker starts at the current epoch: the job that epoch names has
+  // finished, and taking it would run its dead chunk function against the
+  // next job's chunk counter and decrement that job's active count twice.
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, epoch] { worker_loop(epoch); });
   }
 }
 
@@ -73,8 +78,7 @@ void ThreadPool::drain_chunks(const std::function<void(std::size_t)>& fn,
   }
 }
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
+void ThreadPool::worker_loop(std::uint64_t seen_epoch) {
   std::unique_lock lock(mutex_);
   for (;;) {
     job_cv_.wait(lock, [&] { return stopping_ || epoch_ != seen_epoch; });

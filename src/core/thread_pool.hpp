@@ -18,6 +18,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -53,7 +54,7 @@ class ThreadPool {
  private:
   ThreadPool();
 
-  void worker_loop();
+  void worker_loop(std::uint64_t seen_epoch);
   void drain_chunks(const std::function<void(std::size_t)>& fn,
                     std::size_t chunk_count);
   void stop_workers();

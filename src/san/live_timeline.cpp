@@ -1,6 +1,7 @@
 #include "san/live_timeline.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -18,17 +19,13 @@ namespace {
 
 LiveTimeline::LiveTimeline(const SocialAttributeNetwork& seed,
                            LiveTimelineOptions options)
-    : log_(seed),
-      timeline_(log_),
-      materializer_(timeline_),
-      options_(options) {
+    : log_(seed), timeline_(log_), options_(options) {
   if (options_.batches_per_epoch == 0) {
     throw std::invalid_argument(
         "LiveTimeline: batches_per_epoch must be >= 1");
   }
   tip_ = std::isnan(options_.initial_tip) ? timeline_.max_time()
                                           : options_.initial_tip;
-  materializer_.advance(tip_, work_);
   std::lock_guard<std::mutex> lock(mutex_);
   publish_locked();  // epoch 0: the seed's complete snapshot
 }
@@ -36,7 +33,8 @@ LiveTimeline::LiveTimeline(const SocialAttributeNetwork& seed,
 double LiveTimeline::ingest(const IngestBatch& batch) {
   obs::TraceSpan ingest_span("live.ingest");
   std::lock_guard<std::mutex> lock(mutex_);
-  if (std::isnan(batch.tip) || batch.tip <= tip_) {
+  if (!std::isfinite(batch.tip)) bad_batch("tip must be finite");
+  if (batch.tip <= tip_) {
     bad_batch("tip must be a number strictly after the current tip");
   }
 
@@ -142,24 +140,21 @@ double LiveTimeline::ingest(const IngestBatch& batch) {
     pending_since_ns_ = obs::now_ns();
   }
 
-  // Index the new events, then bring the private work snapshot to the new
-  // tip off the serve path — readers keep loading the published epoch.
+  // Index the new events off the serve path — readers keep loading the
+  // published epoch; the buffer advance waits for publication.
   {
     obs::TraceSpan span("live.absorb");
     obs::ScopedTimer timer(absorb_ns_.get());
     timeline_.absorb(log_);
   }
   if (late) {
-    materializer_.invalidate();
+    // Every slot last produced a time at or before the previous tip, so
+    // the late events may sit inside any slot's applied region.
+    for (auto& slot : slots_) slot.materializer.invalidate();
     ++stats_.late_batches;
   }
-  {
-    obs::TraceSpan span("live.advance");
-    obs::ScopedTimer timer(advance_ns_.get());
-    materializer_.advance(batch.tip, work_);
-  }
   tip_ = batch.tip;
-  work_published_ = false;
+  tip_published_ = false;
   ++stats_.batches;
   if (++batches_since_publish_ >= options_.batches_per_epoch) {
     publish_locked();
@@ -173,34 +168,42 @@ void LiveTimeline::publish() {
 }
 
 void LiveTimeline::publish_locked() {
-  if (work_published_) {
+  if (tip_published_) {
     batches_since_publish_ = 0;
     return;
   }
-  // Recycle a retired epoch buffer no reader holds (pool + nothing else);
-  // the currently published buffer is pinned by the atomic itself.
-  std::shared_ptr<SanSnapshot> buffer;
-  for (const auto& candidate : pool_) {
-    if (candidate.use_count() == 1) {
-      buffer = candidate;
+  // Recycle a retired epoch buffer no reader holds (slot + nothing else);
+  // the currently published buffer is pinned by the atomic itself. A new
+  // slot's first advance is a full slack build, later ones are deltas.
+  EpochSlot* slot = nullptr;
+  for (auto& candidate : slots_) {
+    if (candidate.buffer.use_count() == 1) {
+      // use_count() is a relaxed load: order the last reader's release
+      // of its handle before the advance below rewrites the buffer.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      slot = &candidate;
       break;
     }
   }
-  if (!buffer) {
-    buffer = std::make_shared<SanSnapshot>();
-    pool_.push_back(buffer);
+  if (slot == nullptr) {
+    slot = &slots_.emplace_back(timeline_);
+    stats_.epoch_buffers = slots_.size();
+  }
+  {
+    obs::TraceSpan span("live.advance");
+    obs::ScopedTimer timer(advance_ns_.get());
+    slot->materializer.advance(tip_, *slot->buffer);
   }
   {
     obs::TraceSpan span("live.publish");
     obs::ScopedTimer timer(publish_ns_.get());
-    *buffer = work_;  // deep copy; recycled buffers reuse their capacity
-    published_.store(std::shared_ptr<const SanSnapshot>(buffer),
+    published_.store(std::shared_ptr<const SanSnapshot>(slot->buffer),
                      std::memory_order_release);
   }
   epoch_.store(stats_.epochs, std::memory_order_release);
   ++stats_.epochs;
   batches_since_publish_ = 0;
-  work_published_ = true;
+  tip_published_ = true;
   record_publish_latency_locked();
 }
 
@@ -249,6 +252,9 @@ void LiveTimeline::register_metrics(obs::Registry& registry,
   });
   registry.attach_fn(prefix + ".rejected_links", [this] {
     return static_cast<double>(stats().rejected_links);
+  });
+  registry.attach_fn(prefix + ".epoch_buffers", [this] {
+    return static_cast<double>(stats().epoch_buffers);
   });
 }
 

@@ -8,17 +8,20 @@
 //        the prefix every published epoch is gated against);
 //     2. absorb the new events into the columnar timeline index
 //        (SanTimeline::absorb — a stable suffix merge, not a re-sort);
-//     3. bring the private work snapshot to the batch tip with
+//     3. every `batches_per_epoch` batches, PUBLISH: pick an epoch buffer
+//        no reader holds and bring it to the tip in place with its own
 //        Materializer::advance — the PR 4 delta-append fast path (per-node
-//        slack, relocation, deferred-link activation);
-//     4. every `batches_per_epoch` batches, PUBLISH: deep-copy the work
-//        snapshot into an immutable epoch buffer and atomically swap the
-//        shared_ptr readers load.
+//        slack, relocation, deferred-link activation). With no readers
+//        pinning old epochs two buffers alternate, so each advance covers
+//        the events of the last two epochs;
+//     4. atomically swap the shared_ptr readers load. Nothing is copied:
+//        the advanced buffer itself becomes the epoch.
 //
 //   readers: tip() is one atomic shared_ptr load — no mutex, no wait on
 //     any ingest or materialization. A held epoch stays valid and
 //     unchanged forever (publication never mutates earlier buffers;
-//     retired buffers are only recycled once no reader references them).
+//     retired buffers are only advanced again once no reader references
+//     them).
 //
 // Determinism contract: every published epoch is bit-identical — adjacency
 // spans, members_of order, dropped counts — to a from-scratch
@@ -30,14 +33,16 @@
 // at or after the previous tip ride the delta fast path; events that LOOK
 // BACK — a link timestamped at or before the already-published tip, e.g.
 // one that waited for its endpoint id to exist (PR 4 activation) — are
-// legal but force one full (slack-layout) tip rebuild, because they land
-// inside the already-applied region of the log. Links naming ids that do
+// legal but invalidate every epoch buffer's delta state, because they
+// land inside the already-applied region of the log: each buffer's next
+// advance is a full (slack-layout) rebuild. Links naming ids that do
 // not exist yet are held internally and activate on the first batch where
 // both endpoints exist.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -50,8 +55,8 @@
 
 namespace san {
 
-/// One timestamped batch of new network events. All times must be finite
-/// (NaN is rejected); `tip` must strictly exceed the previous tip and is
+/// One timestamped batch of new network events. Event times must not be
+/// NaN; `tip` must be finite, strictly exceed the previous tip, and is
 /// the time the next epoch is published at. Event times may exceed `tip`:
 /// such events are indexed now and surface once the tip passes them,
 /// exactly like future log entries in a SanTimeline replay.
@@ -83,8 +88,9 @@ struct IngestBatch {
 
 struct LiveTimelineOptions {
   /// Publish cadence: a new epoch becomes visible every N ingested
-  /// batches (>= 1). Publication is the only per-epoch O(network) cost
-  /// (one buffer copy), so batching amortizes it; publish() forces one.
+  /// batches (>= 1); publish() forces one. Batches in between only append
+  /// to the log and the index — the buffer advance waits for publication,
+  /// which costs O(events since that buffer's epoch), not O(network).
   std::size_t batches_per_epoch = 1;
   /// Tip of the seed epoch. NaN (the default) derives it from the seed's
   /// max event time; pass an explicit tip when the seed schedules events
@@ -120,9 +126,12 @@ class LiveTimeline : public LiveTipSource {
     std::uint64_t pending_links = 0;
     /// Held links that activated (their endpoints appeared).
     std::uint64_t activated_links = 0;
-    /// Batches that looked back past the previous tip and forced a full
-    /// tip rebuild instead of the delta append.
+    /// Batches that looked back past the previous tip and forced full
+    /// buffer rebuilds instead of the delta append.
     std::uint64_t late_batches = 0;
+    /// Epoch buffers in the recycle pool: 2 in steady state (published +
+    /// one retiree), one more per old epoch a reader still holds.
+    std::uint64_t epoch_buffers = 0;
   };
 
   /// Starts with `seed` fully ingested: the initial tip is the seed's
@@ -137,8 +146,9 @@ class LiveTimeline : public LiveTipSource {
 
   /// Ingest one batch and advance the tip to batch.tip (returned).
   /// Serializes with other writers on an internal mutex; never blocks
-  /// readers. Throws std::invalid_argument on a non-advancing tip, NaN
-  /// times, or out-of-order node joins — the log is unchanged on throw.
+  /// readers. Throws std::invalid_argument on a non-advancing or
+  /// non-finite tip, NaN times, or out-of-order node joins — the log is
+  /// unchanged on throw.
   double ingest(const IngestBatch& batch);
 
   /// Force publication of the current tip as a new epoch (a no-op when
@@ -159,13 +169,17 @@ class LiveTimeline : public LiveTipSource {
   Stats stats() const;
 
   /// Attach this frontier's ingest telemetry to `registry` under `prefix`:
-  /// phase latency histograms (`<prefix>.absorb` / `.advance` / `.publish`),
-  /// `<prefix>.ingest_to_publish` (first unpublished batch admitted ->
-  /// epoch visible to readers), `<prefix>.epoch_gap` (publish cadence), and
-  /// fn gauges over the Stats fields (`<prefix>.epochs`, `.batches`,
-  /// `.late_batches`, `.pending_links`, `.activated_links`,
-  /// `.ingested_links`, `.rejected_links`). Latencies record only while
-  /// obs::timing_enabled(); attach is per-instance.
+  /// phase latency histograms (`<prefix>.absorb` per batch; `.advance`,
+  /// the epoch buffer's in-place advance, and `.publish`, the pointer
+  /// swap, per published epoch), `<prefix>.ingest_to_publish` (first
+  /// unpublished batch admitted -> epoch visible to readers),
+  /// `<prefix>.epoch_gap` (publish cadence), fn gauges over the Stats
+  /// fields (`<prefix>.epochs`, `.batches`, `.late_batches`,
+  /// `.pending_links`, `.activated_links`, `.ingested_links`,
+  /// `.rejected_links`) and `<prefix>.epoch_buffers` (the recycle pool
+  /// size: 2 in steady state, more while readers pin old epochs).
+  /// Latencies record only while obs::timing_enabled(); attach is
+  /// per-instance.
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 
@@ -175,17 +189,24 @@ class LiveTimeline : public LiveTipSource {
   const SocialAttributeNetwork& log() const { return log_; }
 
  private:
+  // An epoch buffer and the Materializer that last advanced it, so the
+  // next advance is a delta from that buffer's own epoch.
+  struct EpochSlot {
+    explicit EpochSlot(const SanTimeline& timeline)
+        : buffer(std::make_shared<SanSnapshot>()), materializer(timeline) {}
+    std::shared_ptr<SanSnapshot> buffer;
+    SanTimeline::Materializer materializer;
+  };
+
   void publish_locked();
   void record_publish_latency_locked();
 
   mutable std::mutex mutex_;  // serializes writers; readers never take it
   SocialAttributeNetwork log_;
   SanTimeline timeline_;
-  SanTimeline::Materializer materializer_;
-  SanSnapshot work_;  // slack-layout tip, advanced per batch
   double tip_ = 0.0;  // ingest frontier (>= published tip)
   std::size_t batches_since_publish_ = 0;
-  bool work_published_ = false;  // current work_ state already visible?
+  bool tip_published_ = false;  // is tip_ the published epoch's time?
   LiveTimelineOptions options_;
   Stats stats_;
   // Ingest telemetry (obs/metrics.hpp): phase latencies plus publish
@@ -208,8 +229,9 @@ class LiveTimeline : public LiveTipSource {
   std::vector<TimedAttributeLink> pending_attr_;
   std::vector<double> joins_scratch_;  // per-batch sort buffer, reused
   // Epoch buffers: the published one plus retired ones kept for recycling
-  // (a retired buffer is reused only when no reader holds it).
-  std::vector<std::shared_ptr<SanSnapshot>> pool_;
+  // (a retired buffer is reused only when no reader holds it). A deque:
+  // slots hold a Materializer, which cannot move.
+  std::deque<EpochSlot> slots_;
   std::atomic<std::shared_ptr<const SanSnapshot>> published_;
   std::atomic<std::uint64_t> epoch_{0};
 };

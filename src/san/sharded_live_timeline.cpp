@@ -95,7 +95,8 @@ double ShardedLiveTimeline::ingest(const IngestBatch& batch) {
   double frontier_now = 0.0;
   {
     std::lock_guard<std::mutex> lock(meta_mutex_);
-    if (std::isnan(batch.tip) || batch.tip <= published_time_) {
+    if (!std::isfinite(batch.tip)) bad_batch("tip must be finite");
+    if (batch.tip <= published_time_) {
       bad_batch("tip must be a number strictly after the published epoch");
     }
 

@@ -55,10 +55,10 @@
 // the social log never shows; the attribute column keeps global meta
 // admission order; per-pair duplicate resolution is per-shard-local.
 //
-// Tip rule: batch.tip must be strictly after the last PUBLISHED epoch
-// time (with batches_per_epoch == 1 this degenerates to LiveTimeline's
-// strictly-advancing tip). Between publishes, concurrent writers may
-// interleave tips freely; the frontier is their running max.
+// Tip rule: batch.tip must be finite and strictly after the last
+// PUBLISHED epoch time (with batches_per_epoch == 1 this degenerates to
+// LiveTimeline's strictly-advancing tip). Between publishes, concurrent
+// writers may interleave tips freely; the frontier is their running max.
 //
 // Batch atomicity is per shard: when a publish races an in-flight
 // ingest, a batch spanning several shards may land half in one epoch and
@@ -113,7 +113,7 @@ class ShardedLiveTimeline : public LiveTipSource {
 
   /// Ingest one batch: meta admission, then per-shard application (only
   /// the owning shards' mutexes are taken). Returns the global frontier.
-  /// Throws std::invalid_argument on a tip that is NaN or not strictly
+  /// Throws std::invalid_argument on a tip that is not finite or not strictly
   /// after the last published epoch, NaN times, or out-of-order joins —
   /// nothing is admitted on throw.
   double ingest(const IngestBatch& batch);

@@ -1,5 +1,6 @@
 #include "serve/query.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -215,6 +216,9 @@ bool parse_step(const std::string& line, std::size_t line_no,
     step.ingest = true;
     if (!(fields >> a)) bad_line(line_no, "'" + op + "' expects TIP");
     step.tip = parse_time(a, line_no);
+    if (!std::isfinite(step.tip)) {
+      bad_line(line_no, "ingest TIP must be finite");
+    }
   } else if (op == "linkrec" || op == "attrs") {
     q.kind = op == "linkrec" ? QueryKind::kLinkRec : QueryKind::kAttrInfer;
     if (!(fields >> a >> b >> c)) {

@@ -304,8 +304,10 @@ TEST(LiveTimeline, PublishCadenceAndExplicitPublish) {
 
 TEST(LiveTimeline, RetiredEpochBuffersAreRecycled) {
   // Publishing with no outstanding readers must not grow the buffer pool
-  // beyond the published one plus one retiree.
+  // beyond the published one plus one retiree: exactly two buffers
+  // alternate, each advanced in place from its own epoch two back.
   LiveTimeline live;
+  EXPECT_EQ(live.stats().epoch_buffers, 1u);  // the seed epoch's
   std::vector<const SanSnapshot*> seen;
   IngestBatch batch;
   for (int i = 1; i <= 8; ++i) {
@@ -313,13 +315,139 @@ TEST(LiveTimeline, RetiredEpochBuffersAreRecycled) {
     live.ingest(batch);
     seen.push_back(live.tip().get());
   }
-  // With every handle released immediately, at most two distinct buffers
-  // ping-pong (the new epoch can never reuse the currently-published one).
   std::vector<const SanSnapshot*> distinct(seen);
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
-  EXPECT_LE(distinct.size(), 2u);
+  EXPECT_EQ(distinct.size(), 2u);
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    // The new epoch can never reuse the currently-published buffer.
+    EXPECT_NE(seen[i], seen[i - 1]) << "epoch " << i + 1;
+    if (i >= 2) {
+      EXPECT_EQ(seen[i], seen[i - 2]) << "epoch " << i + 1;
+    }
+  }
+  EXPECT_EQ(live.stats().epoch_buffers, 2u);
+}
+
+TEST(LiveOracle, PinnedEpochGrowsThePoolAndLaggingBufferCatchesUp) {
+  // A reader pins epoch k across many ingests: publication must route
+  // around it (a third buffer appears, then two alternate), the pinned
+  // epoch never changes, and once released its buffer — now many epochs
+  // behind — is the next one advanced, in one multi-epoch step that must
+  // still equal the from-scratch rebuild.
+  const auto net = san::testlib::synthetic_gplus(800, 31337);
+  Replay replay(net, 20.0);
+  LiveTimelineOptions options;
+  options.initial_tip = 20.0;
+  LiveTimeline live(replay.seed, options);
+
+  // Epochs alternate the first two buffers, so epoch 2 sits in the
+  // first one — the buffer publication tries first once it is free.
+  double tip = 20.0;
+  for (int i = 0; i < 2; ++i) {
+    tip += 1.0;
+    live.ingest(replay.batch_until(tip));
+  }
+  auto pinned = live.tip();
+  const SanSnapshot* pinned_buffer = pinned.get();
+  const std::uint64_t pinned_print =
+      san::testlib::snapshot_fingerprint(*pinned);
+
+  for (int i = 0; i < 24; ++i) {
+    tip += 2.0;
+    live.ingest(replay.batch_until(tip));
+    EXPECT_NE(live.tip().get(), pinned_buffer) << "tip " << tip;
+    EXPECT_EQ(san::testlib::snapshot_fingerprint(*pinned), pinned_print)
+        << "tip " << tip;
+    expect_epoch_matches_rebuild(live);
+  }
+  EXPECT_EQ(live.stats().epoch_buffers, 3u);
+  // No late batch invalidated the lagging buffer's delta state, so its
+  // catch-up below is one delta advance across 25 epochs of events.
+  EXPECT_EQ(live.stats().late_batches, 0u);
+
+  pinned.reset();
+  tip += 2.0;
+  live.ingest(replay.batch_until(tip));
+  EXPECT_EQ(live.tip().get(), pinned_buffer);  // the lagging buffer, reused
+  expect_epoch_matches_rebuild(live);
+  for (int i = 0; i < 4; ++i) {
+    tip += 1.0;
+    live.ingest(replay.batch_until(tip));
+    expect_epoch_matches_rebuild(live);
+  }
+  EXPECT_EQ(live.stats().epoch_buffers, 3u);  // the pool never shrinks
+}
+
+TEST(LiveOracle, DeferredAdvanceMatchesRebuildAtEveryPublishedEpoch) {
+  // batches_per_epoch = 3: batches in between only log and index, and the
+  // buffer advance runs at publication. A late batch and a held-link
+  // activation that land on non-publishing batches must still reach the
+  // next published epoch exactly as a rebuild would.
+  LiveTimelineOptions options;
+  options.batches_per_epoch = 3;
+  LiveTimeline live(SocialAttributeNetwork{}, options);
+  const auto link = [](NodeId src, NodeId dst, double time) {
+    TimedSocialEdge e;
+    e.src = src;
+    e.dst = dst;
+    e.time = time;
+    return e;
+  };
+
+  std::vector<IngestBatch> schedule(6);
+  for (std::size_t b = 0; b < schedule.size(); ++b) {
+    schedule[b].tip = static_cast<double>(b + 1);
+  }
+  schedule[0].social_nodes = {0.2, 0.4, 0.6};
+  schedule[0].social_links = {link(0, 1, 0.8), link(1, 2, 0.9)};
+  IngestBatch::AttributeNode school;
+  school.type = AttributeType::kSchool;
+  school.time = 0.5;
+  schedule[0].attribute_nodes.push_back(school);
+  schedule[0].attribute_links.push_back({0, 0, 0.7});
+  // Node 3 does not exist yet: held until batch 4 admits it.
+  schedule[1].social_links = {link(0, 3, 1.5), link(2, 0, 1.8)};
+  schedule[2].social_links = {link(2, 1, 2.5)};  // publishes epoch 1
+  // Batch 4 (not publishing): node 3 joins, so the held 0->3 @1.5 — at
+  // or before the previous tip — activates, which makes the batch late.
+  schedule[3].social_nodes = {3.2};
+  schedule[3].attribute_links.push_back({3, 0, 3.4});
+  // Batch 5 (not publishing): an ordinary late link, back at t=2.2.
+  schedule[4].social_links = {link(1, 0, 2.2), link(3, 2, 4.5)};
+  schedule[5].social_links = {link(3, 1, 5.5)};  // publishes epoch 2
+
+  double visible = 0.0;  // the seed epoch's tip
+  for (std::size_t b = 0; b < schedule.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "batch " << b + 1);
+    live.ingest(schedule[b]);
+    if ((b + 1) % 3 == 0) {
+      visible = schedule[b].tip;
+      expect_epoch_matches_rebuild(live);
+    }
+    EXPECT_EQ(live.tip_time(), visible);
+    EXPECT_EQ(live.stats().epochs, 1 + (b + 1) / 3);
+  }
+  const auto stats = live.stats();
+  EXPECT_EQ(stats.activated_links, 1u);
+  EXPECT_EQ(stats.late_batches, 2u);
+  EXPECT_EQ(stats.pending_links, 0u);
+
+  // The same cadence over the randomized schedule: every epoch a publish
+  // makes visible, forced or not, equals the rebuild.
+  LiveTimeline random_live(SocialAttributeNetwork{}, options);
+  for (const auto& batch : random_schedule(0xc0de, 40)) {
+    const std::uint64_t before = random_live.epoch();
+    random_live.ingest(batch);
+    if (random_live.epoch() != before) {
+      expect_epoch_matches_rebuild(random_live);
+    }
+  }
+  random_live.publish();
+  expect_epoch_matches_rebuild(random_live);
+  EXPECT_GT(random_live.stats().late_batches, 0u);
+  EXPECT_GT(random_live.stats().activated_links, 0u);
 }
 
 }  // namespace

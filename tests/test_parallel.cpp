@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -48,6 +49,29 @@ TEST_F(ParallelTest, ParallelForCoversEveryIndexExactlyOnce) {
   });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST_F(ParallelTest, ResizedPoolNeverReplaysAnEarlierJob) {
+  // Workers spawned by a resize must wait for the NEXT job: one that took
+  // the previous job as new would run its (by then dead) chunk function
+  // against the next job's chunk counter. Every job's functor stays alive
+  // here, so a replay shows as miscounted chunks instead of a crash.
+  constexpr std::size_t kRounds = 400;
+  constexpr std::size_t kChunks = 8;
+  std::vector<std::atomic<std::size_t>> runs(kRounds);
+  std::vector<std::function<void(std::size_t)>> jobs;
+  jobs.reserve(kRounds);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    jobs.emplace_back([&runs, r](std::size_t) { runs[r].fetch_add(1); });
+  }
+  auto& pool = san::core::ThreadPool::instance();
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    san::core::set_thread_count(r % 2 == 0 ? 2 : 4);
+    pool.run_chunks(kChunks, jobs[r]);
+  }
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    ASSERT_EQ(runs[r].load(), kChunks) << "job " << r;
   }
 }
 

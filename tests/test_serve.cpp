@@ -591,6 +591,23 @@ TEST(Workload, IngestLinesOnlyParseInLiveReplay) {
                std::invalid_argument);
 }
 
+TEST(Workload, NonFiniteIngestTipIsRejectedWithItsLine) {
+  // `ingest inf` would publish an epoch at +inf that no later tip can
+  // follow; the parser names the line instead of letting the replay die
+  // at the next ingest.
+  for (const char* tip : {"inf", "-inf", "Infinity", "+INF"}) {
+    SCOPED_TRACE(tip);
+    const std::string text =
+        std::string("ego 1 2\ningest ") + tip + "\nego now 2\n";
+    try {
+      (void)san::serve::parse_live_workload(text);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "workload line 2: ingest TIP must be finite");
+    }
+  }
+}
+
 // ---- QueryEngine. ----
 
 TEST(QueryEngine, BatchMatchesSingleByteForByteAcrossThreadCounts) {

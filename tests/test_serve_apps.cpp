@@ -399,6 +399,59 @@ TEST(ServeApps, DerivedStateRebuildsWhenLiveEpochBufferIsRecycled) {
   EXPECT_EQ(cache.stats().derived_misses, 5u);
 }
 
+TEST(ServeApps, EveryOtherLiveEpochReusesABufferAndRebuildsDerivedState) {
+  // With no reader pinning old epochs the live frontier alternates two
+  // buffers, so epoch k+2 is served from the very address epoch k was.
+  // Each epoch adds a link at the queried user, so sybil and community
+  // cells reused across that recycling would render the old answer.
+  LiveRig rig;
+  SnapshotCache cache(rig.frozen, 4);
+  cache.bind_live(rig.live);
+  QueryEngine engine(cache);
+  const double horizon = rig.frozen.max_time();
+  const NodeId user = 5;
+  const auto& options = engine.options().derived;
+
+  std::vector<const SanSnapshot*> buffers;
+  for (int round = 1; round <= 6; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    rig.ingest_day(horizon + round, static_cast<NodeId>(600 + round), user);
+    const auto tip = rig.live.tip();
+    buffers.push_back(tip.get());
+    if (round >= 3) {
+      ASSERT_EQ(buffers[round - 1], buffers[round - 3]);  // recycled
+    }
+
+    Query sybil = make(QueryKind::kSybil, 0.0, user);
+    sybil.time = std::numeric_limits<double>::infinity();
+    sybil.now = true;
+    const san::apps::SybilLimit oracle(tip->social, options.sybil);
+    std::vector<std::uint8_t> flags(oracle.topology().node_count(), 0);
+    flags[user] = 1;
+    for (const NodeId v : oracle.topology().out(user)) flags[v] = 1;
+    const auto served = engine.run_single(sybil);
+    ASSERT_TRUE(served.ok);
+    EXPECT_EQ(served.sybil, oracle.evaluate(flags));
+
+    Query community = sybil;
+    community.kind = QueryKind::kCommunity;
+    const auto lp = san::apps::detect_communities(*tip, options.community);
+    std::uint64_t size = 0;
+    for (const std::uint32_t label : lp.label) {
+      size += label == lp.label[user];
+    }
+    const auto community_served = engine.run_single(community);
+    ASSERT_TRUE(community_served.ok);
+    EXPECT_EQ(community_served.community.label, lp.label[user]);
+    EXPECT_EQ(community_served.community.size, size);
+    EXPECT_EQ(community_served.community.communities, lp.community_count);
+
+    // Two fresh cells per epoch — sybil and community — and no reuse.
+    EXPECT_EQ(cache.stats().derived_misses, 2u * round);
+    EXPECT_EQ(cache.stats().derived_hits, 0u);
+  }
+}
+
 // ---- Derived-state side-cache accounting. ----
 
 TEST(ServeApps, DerivedStateBuildsOncePerSnapshotAcrossBatches) {

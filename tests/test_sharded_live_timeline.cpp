@@ -14,6 +14,7 @@
 #include <atomic>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -375,6 +376,38 @@ TEST(ShardedLiveTimelineTest, TipMustBeStrictlyAfterPublishedEpoch) {
   EXPECT_THROW(ShardedLiveTimeline(SocialAttributeNetwork{},
                                    ShardedLiveTimelineOptions{.shards = 0}),
                std::invalid_argument);
+}
+
+/// An infinite tip would publish an epoch no later tip can follow, so
+/// both frontiers reject it up front, name the cause, and keep ingesting.
+template <typename Frontier>
+void expect_non_finite_tips_rejected(Frontier& live) {
+  for (const double tip : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    IngestBatch batch;
+    batch.tip = tip;
+    try {
+      live.ingest(batch);
+      ADD_FAILURE() << "tip " << tip << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("tip must be finite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(live.stats().batches, 0u);
+  IngestBatch next;
+  next.tip = 5.0;
+  live.ingest(next);
+  EXPECT_EQ(live.tip()->time, 5.0);
+}
+
+TEST(ShardedLiveTimelineTest, NonFiniteTipsAreRejectedByBothFrontiers) {
+  LiveTimeline single;
+  expect_non_finite_tips_rejected(single);
+  ShardedLiveTimeline sharded(SocialAttributeNetwork{},
+                              ShardedLiveTimelineOptions{.shards = 3});
+  expect_non_finite_tips_rejected(sharded);
 }
 
 TEST(ShardedLiveTimelineTest, CadenceFrontierAndBufferRecycling) {
