@@ -13,14 +13,7 @@
 //      `now` + historical queries through a live-bound SnapshotCache for
 //      the whole replay (readers resolve the tip with one atomic load and
 //      never block on ingest) and FAILS if any query errors;
-//   4. writer scaling: replays the same stream through
-//      san::ShardedLiveTimeline at shard counts 1/2/4/8 x SAN_THREADS
-//      1/2/4/8 and FAILS unless every stitched epoch fingerprint matches
-//      the leg-1 reference (itself gated per epoch against the
-//      single-shard rebuild of the merged log) — plus one full final
-//      merged-log rebuild gate per shard count; reports ingest events/s
-//      and epoch-stitch latency per shard count;
-//   5. FAILS unless the live ingest path beats the rebuild-per-epoch
+//   4. FAILS unless the live ingest path beats the rebuild-per-epoch
 //      baseline by >= 1.5x end to end.
 //
 // Scale with SAN_BENCH_NODES (default 60k) and SAN_LIVE_STEP (days per
@@ -39,7 +32,6 @@
 #include "core/thread_pool.hpp"
 #include "san/live_replay.hpp"
 #include "san/live_timeline.hpp"
-#include "san/sharded_live_timeline.hpp"
 #include "san/timeline.hpp"
 #include "san_testlib.hpp"
 #include "serve/query_engine.hpp"
@@ -225,88 +217,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  // ---- Leg 4: sharded multi-writer scaling. Gate pass first: every
-  // stitched epoch at every shards x threads combination must reproduce
-  // the leg-1 reference fingerprint (which leg 1 gated per epoch against
-  // a from-scratch rebuild, so transitively every stitch equals the
-  // merged-log oracle). ----
-  bench::header("sharded writer scaling (stitched-epoch byte-identity)");
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      core::set_thread_count(threads);
-      LiveReplay replay(net, kSeedDay);
-      ShardedLiveTimelineOptions options;
-      options.shards = shards;
-      options.initial_tip = kSeedDay;
-      ShardedLiveTimeline live(replay.seed, options);
-      for (std::size_t i = 0; i < tips.size(); ++i) {
-        live.ingest(replay.batch_until(tips[i]));
-        if (testlib::snapshot_fingerprint(*live.tip()) != reference[i]) {
-          std::fprintf(stderr,
-                       "FAIL: stitched epoch %zu deviates at %zu shards,"
-                       " %zu threads\n",
-                       i, shards, threads);
-          return 1;
-        }
-      }
-    }
-    std::printf("  %zu shards: identical at 1/2/4/8 threads\n", shards);
-  }
-  core::set_thread_count(restore_threads);
-  std::printf("  every stitched epoch bit-identical to the single-shard"
-              " reference\n");
-
-  // Timing pass: one replay per shard count at ambient threads, publish
-  // cadence suppressed so each explicit publish() times one full epoch
-  // stitch. One final merged-log rebuild gate per shard count.
-  bench::header("sharded ingest throughput + epoch-stitch latency");
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    LiveReplay replay(net, kSeedDay);
-    ShardedLiveTimelineOptions options;
-    options.shards = shards;
-    options.batches_per_epoch = tips.size() + 2;  // publish only explicitly
-    options.initial_tip = kSeedDay;
-    ShardedLiveTimeline live(replay.seed, options);
-    std::size_t events = 0;
-    double ingest_s = 0.0, stitch_sum_ms = 0.0, stitch_max_ms = 0.0;
-    for (const double tip : tips) {
-      auto batch = replay.batch_until(tip);
-      events += batch.social_nodes.size() + batch.social_links.size() +
-                batch.attribute_links.size();
-      const auto ingest_start = std::chrono::steady_clock::now();
-      live.ingest(batch);
-      ingest_s += seconds_since(ingest_start);
-      const auto stitch_start = std::chrono::steady_clock::now();
-      live.publish();
-      const double stitch_ms = seconds_since(stitch_start) * 1e3;
-      stitch_sum_ms += stitch_ms;
-      if (stitch_ms > stitch_max_ms) stitch_max_ms = stitch_ms;
-    }
-    const auto tip = live.tip();
-    const SanTimeline merged(live.merged_log());
-    if (testlib::snapshot_fingerprint(merged.snapshot_at(tip->time)) !=
-        testlib::snapshot_fingerprint(*tip)) {
-      std::fprintf(stderr,
-                   "FAIL: final epoch at %zu shards deviates from the"
-                   " merged-log rebuild\n",
-                   shards);
-      return 1;
-    }
-    const double events_per_s = events / ingest_s;
-    const double stitch_mean_ms = stitch_sum_ms / tips.size();
-    std::printf("  %zu shards: %9.0f events/s ingest, stitch %7.2f ms"
-                " mean / %7.2f ms max\n",
-                shards, events_per_s, stitch_mean_ms, stitch_max_ms);
-    char name[48];
-    std::snprintf(name, sizeof(name), "shard%zu_events_per_s", shards);
-    report.add(name, events_per_s);
-    std::snprintf(name, sizeof(name), "shard%zu_stitch_mean_ms", shards);
-    report.add(name, stitch_mean_ms);
-    std::snprintf(name, sizeof(name), "shard%zu_stitch_max_ms", shards);
-    report.add(name, stitch_max_ms);
-  }
-  std::printf("  final epochs bit-identical to their merged-log rebuilds\n");
 
   if (live_s * 1.5 > baseline_s) {
     std::fprintf(stderr,

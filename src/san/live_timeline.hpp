@@ -100,17 +100,7 @@ struct LiveTimelineOptions {
   double initial_tip = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// The reader-side face every live frontier shares: tip() is one atomic
-/// shared_ptr load of the latest published epoch, lock-free with respect
-/// to writers. serve::SnapshotCache binds against this interface so both
-/// LiveTimeline and ShardedLiveTimeline can back the live path.
-class LiveTipSource {
- public:
-  virtual ~LiveTipSource() = default;
-  virtual std::shared_ptr<const SanSnapshot> tip() const = 0;
-};
-
-class LiveTimeline : public LiveTipSource {
+class LiveTimeline {
  public:
   struct Stats {
     std::uint64_t batches = 0;
@@ -158,7 +148,7 @@ class LiveTimeline : public LiveTipSource {
   /// The latest published epoch snapshot: one atomic load, lock-free with
   /// respect to writers. The snapshot is immutable; hold it as long as
   /// needed.
-  std::shared_ptr<const SanSnapshot> tip() const override;
+  std::shared_ptr<const SanSnapshot> tip() const;
 
   /// Time of the latest published epoch (== tip()->time).
   double tip_time() const { return tip()->time; }

@@ -20,10 +20,10 @@
 //    batch (queries admitted before the ingest must see the pre-ingest
 //    epochs — the same order file replay executes), then invokes the
 //    bound ingest handler (`san_tool listen` wires it to LiveReplay +
-//    LiveTimeline/ShardedLiveTimeline). Successful ingest produces no
-//    response line, matching the file-replay renderer; a failed one (for
-//    example a non-advancing tip) produces an `ERR workload line N: ...`
-//    line on that connection instead of killing the process.
+//    LiveTimeline). Successful ingest produces no response line, matching
+//    the file-replay renderer; a failed one (for example a non-advancing
+//    tip) produces an `ERR workload line N: ...` line on that connection
+//    instead of killing the process.
 //  * Write backpressure. Responses append to a bounded per-connection
 //    outbound buffer; EAGAIN arms EPOLLOUT and the buffer drains as the
 //    socket opens up. A consumer whose buffer exceeds max_outbound_bytes

@@ -158,11 +158,11 @@ void SnapshotCache::register_metrics(obs::Registry& registry,
   derived_.register_metrics(registry, prefix);
 }
 
-void SnapshotCache::bind_live(const LiveTipSource& live) {
+void SnapshotCache::bind_live(const LiveTimeline& live) {
   bind_live(live, timeline_.max_time());
 }
 
-void SnapshotCache::bind_live(const LiveTipSource& live, double horizon) {
+void SnapshotCache::bind_live(const LiveTimeline& live, double horizon) {
   if (std::isnan(horizon)) {
     throw std::invalid_argument("SnapshotCache: horizon must not be NaN");
   }

@@ -34,7 +34,7 @@
 #include "serve/derived_cache.hpp"
 
 namespace san {
-class LiveTipSource;
+class LiveTimeline;
 }
 
 namespace san::serve {
@@ -124,11 +124,9 @@ class SnapshotCache {
   /// DURING SETUP, before any concurrent at() calls: the binding fields
   /// are read without synchronization on the serve path, so rebinding
   /// while queries are in flight is a data race (and could route a
-  /// historical time to the tip). Any LiveTipSource works — LiveTimeline
-  /// and ShardedLiveTimeline both publish through the same
-  /// atomic-shared_ptr tip.
-  void bind_live(const LiveTipSource& live);
-  void bind_live(const LiveTipSource& live, double horizon);
+  /// historical time to the tip).
+  void bind_live(const LiveTimeline& live);
+  void bind_live(const LiveTimeline& live, double horizon);
 
  private:
   struct Entry {
@@ -139,7 +137,7 @@ class SnapshotCache {
 
   const SanTimeline& timeline_;
   const std::size_t capacity_;
-  const LiveTipSource* live_ = nullptr;
+  const LiveTimeline* live_ = nullptr;
   double live_horizon_ = 0.0;
 
   // Per-instance telemetry cells (obs/metrics.hpp): lock-free per-thread

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -271,6 +275,97 @@ TEST(LiveTimeline, TipMustStrictlyAdvance) {
   regress.social_nodes.push_back(6.5);  // before the last join (7.0)
   EXPECT_THROW(live.ingest(regress), std::invalid_argument);
   EXPECT_EQ(live.log().social_node_count(), 1u);
+}
+
+TEST(LiveTimeline, NonFiniteTipsAreRejected) {
+  // An infinite tip would publish an epoch no later tip can follow, so it
+  // is rejected up front, names the cause, and ingest keeps going.
+  LiveTimeline live;
+  for (const double tip : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    IngestBatch batch;
+    batch.tip = tip;
+    try {
+      live.ingest(batch);
+      ADD_FAILURE() << "tip " << tip << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("tip must be finite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(live.stats().batches, 0u);
+  IngestBatch next;
+  next.tip = 5.0;
+  live.ingest(next);
+  EXPECT_EQ(live.tip()->time, 5.0);
+}
+
+/// The TSan target: four writers ingesting concurrently (they serialize on
+/// the writer mutex), a publisher thread forcing epochs mid-stream, and a
+/// reader hammering tip(). Every epoch the reader observes must have a
+/// non-decreasing time, and the final epoch must equal the from-scratch
+/// rebuild of whatever log the race admitted.
+TEST(LiveTimeline, MultiWriterIngestRacingPublisherAndReader) {
+  constexpr std::size_t kWriters = 4;
+  const auto schedule = random_schedule(0xbeef, 96);
+
+  LiveTimelineOptions options;
+  // No cadence publishes: the publisher thread drives the epoch clock.
+  options.batches_per_epoch = schedule.size() + 1;
+  LiveTimeline live(SocialAttributeNetwork{}, options);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> stale{0};
+
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::size_t b = w; b < schedule.size(); b += kWriters) {
+        try {
+          live.ingest(schedule[b]);
+        } catch (const std::invalid_argument&) {
+          // Another writer got a later batch in first: this batch's tip
+          // (or its node joins) now lies behind the log, and it is
+          // rejected whole.
+          stale.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::thread publisher([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      live.publish();
+      std::this_thread::yield();
+    }
+  });
+  std::thread reader([&] {
+    double last_time = -1.0;
+    std::uint64_t reads = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const auto tip = live.tip();
+      ASSERT_NE(tip, nullptr);
+      EXPECT_GE(tip->time, last_time);
+      last_time = tip->time;
+      // Touch the spans so TSan sees reader-side accesses too.
+      if (tip->social_node_count() > 0) reads += tip->social.out(0).size();
+      if (tip->attribute_id_count() > 0) reads += tip->members_of(0).size();
+      std::this_thread::yield();
+    }
+    (void)reads;
+  });
+
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  publisher.join();
+  reader.join();
+
+  live.publish();
+  expect_epoch_matches_rebuild(live);
+  const auto stats = live.stats();
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.batches + stale.load(), schedule.size());
 }
 
 TEST(LiveTimeline, PublishCadenceAndExplicitPublish) {

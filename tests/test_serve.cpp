@@ -18,7 +18,6 @@
 
 #include "core/thread_pool.hpp"
 #include "san/live_timeline.hpp"
-#include "san/sharded_live_timeline.hpp"
 #include "san/timeline.hpp"
 #include "san_testlib.hpp"
 #include "stats/rng.hpp"
@@ -424,42 +423,6 @@ TEST(QueryEngine, MixedHistoricalAndLiveBatchMatchesSingleAcrossThreads) {
     }
   }
   san::core::set_thread_count(restore);
-}
-
-TEST(SnapshotCache, LiveBindingAcceptsShardedTimeline) {
-  // bind_live is stated against LiveTipSource: a ShardedLiveTimeline
-  // backs the live path exactly like a LiveTimeline, and post-horizon
-  // queries resolve to the same stitched epochs a single-writer replay
-  // of the identical batches publishes.
-  SocialAttributeNetwork net = small_gplus();
-  SanTimeline frozen{net};
-  san::ShardedLiveTimelineOptions options;
-  options.shards = 4;
-  san::ShardedLiveTimeline sharded(net, options);
-  LiveTimeline reference(net);
-  SnapshotCache cache(frozen, 4);
-  cache.bind_live(sharded);
-  const double horizon = frozen.max_time();
-
-  IngestBatch batch;
-  batch.tip = horizon + 1.0;
-  san::TimedSocialEdge e;
-  e.src = 3;
-  e.dst = 9;
-  e.time = batch.tip;
-  batch.social_links.push_back(e);
-  sharded.ingest(batch);
-  reference.ingest(batch);
-
-  const auto now = cache.at(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(now.get(), sharded.tip().get());
-  EXPECT_EQ(now->time, horizon + 1.0);
-  EXPECT_EQ(san::testlib::snapshot_fingerprint(*now),
-            san::testlib::snapshot_fingerprint(*reference.tip()));
-  EXPECT_EQ(cache.stats().live_hits, 1u);
-  // Historical times keep resolving against the frozen timeline.
-  EXPECT_EQ(cache.at(40.0)->time, 40.0);
-  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 // ---- Workload parsing. ----

@@ -5,9 +5,9 @@ Compares one or more `--json` result files emitted by the bench binaries
 against the checked-in baseline (tools/bench_baseline.json). Every metric
 named in the baseline is a GATED higher-is-better ratio (speedups, never
 absolute seconds — ratios are stable across runner core counts, which is
-why the per-shard throughput and stitch-latency numbers stay
-informational): the gate FAILS (exit 1) when a current value drops below
-(1 - tolerance) x baseline, i.e. regresses by more than 20% by default.
+why absolute throughput and latency numbers stay informational): the
+gate FAILS (exit 1) when a current value drops below (1 - tolerance) x
+baseline, i.e. regresses by more than 20% by default.
 Metrics present in a result file but absent from the baseline are reported
 as informational and never fail the gate; a baseline metric missing from
 every result file fails it (the bench stopped reporting the number the

@@ -7,37 +7,43 @@
 //   san_tool crawl FILE --day D [--private P] -o FILE
 //   san_tool communities FILE [--attribute-weight W]
 //   san_tool live FILE --workload W [--start D] [--cache N] [--batch B]
-//            [--publish-every K] [--shards N] [--stats-json FILE]
-//            [--trace FILE] [--stats-every N]
+//            [--publish-every K] [--stats-json FILE] [--trace FILE]
+//            [--stats-every N]
 //   san_tool serve FILE --workload W [--cache N] [--batch B]
 //            [--stats-json FILE] [--trace FILE] [--stats-every N]
 //   san_tool listen FILE [--port P] [--start D] [--cache N] [--batch B]
-//            [--max-delay-us U] [--publish-every K] [--shards N]
-//            [--stats-json FILE] [--trace FILE]
+//            [--max-delay-us U] [--publish-every K] [--max-line-bytes N]
+//            [--max-outbound-bytes N] [--drain-timeout-ms N]
+//            [--sndbuf BYTES] [--stats-json FILE] [--trace FILE]
 //   san_tool genload [--queries N] [--nodes N] [--seed S] [--zipf Z]
 //            [--mix SPEC] [--arrival MODEL] [--horizon D] [--now F]
 //            [--ingest F] -o FILE
 //
 // Files use the SANv1 text format (san/serialization.hpp); workload files
 // use the serve/query.hpp line format. Malformed numbers, unknown
-// subcommands, and missing positionals all fail loudly with usage + a
-// nonzero exit instead of silently falling back to atof/atol defaults.
+// subcommands, unknown flags, flags missing their value, and missing
+// positionals all fail loudly with usage + a nonzero exit instead of
+// silently falling back to atof/atol defaults.
 //
 // Exit codes (shared by every subcommand): 0 success / help, 1 runtime
 // failure (unreadable or malformed input file, workload parse error),
-// 2 usage error (unknown subcommand or flag value, missing positional).
+// 2 usage error (unknown subcommand or flag, bad or missing flag value,
+// missing positional).
 //
-// The subcommand table below is the single source of the usage strings;
-// the docs CI job (tools/check_docs.py) fails when `san_tool help` drifts
-// from the subcommand table documented in README.md.
+// The subcommand table below is the single source of the usage strings
+// and of the flags each subcommand accepts (exactly those its synopsis
+// names); the docs CI job (tools/check_docs.py) fails when `san_tool
+// help` drifts from the subcommand table documented in README.md.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/community.hpp"
@@ -53,7 +59,6 @@
 #include "obs/trace.hpp"
 #include "san/live_replay.hpp"
 #include "san/live_timeline.hpp"
-#include "san/sharded_live_timeline.hpp"
 #include "san/san_metrics.hpp"
 #include "san/serialization.hpp"
 #include "san/timeline.hpp"
@@ -130,7 +135,7 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                         social links (default: 0)\n"},
     {"live",
      "san_tool live FILE --workload W [--start D] [--cache N] [--batch B]"
-     " [--publish-every K] [--shards N] [--stats-json FILE] [--trace FILE]"
+     " [--publish-every K] [--stats-json FILE] [--trace FILE]"
      " [--stats-every N]",
      "replay FILE as a live ingest stream while serving queries",
      "Treats the SANv1 file as a future event stream: events up to day D\n"
@@ -151,16 +156,11 @@ constexpr SubcommandDoc kSubcommands[] = {
      "  --cache N           frozen snapshots kept resident (default: 8)\n"
      "  --batch B           queries admitted per batch (default: 1024)\n"
      "  --publish-every K   batches per published epoch, >= 1 (default: 1)\n"
-     "  --shards N          ingest shards, >= 1 (default: 1): N > 1 routes\n"
-     "                      batches through san::ShardedLiveTimeline, which\n"
-     "                      partitions the frontier by source-node-id range\n"
-     "                      and stitches per-shard snapshots into each\n"
-     "                      published epoch\n"
      "  --stats-json FILE   write a flat JSON telemetry snapshot on exit:\n"
      "                      per-query-type latency percentiles, cache\n"
      "                      counters, ingest phase timings (absorb /\n"
-     "                      advance / publish or apply_shard / stitch),\n"
-     "                      ingest-to-publish latency, and epoch cadence\n"
+     "                      advance / publish), ingest-to-publish\n"
+     "                      latency, and epoch cadence\n"
      "                      (enables latency capture)\n"
      "  --trace FILE        write a Chrome trace-event JSON of the\n"
      "                      recorded spans on exit; load it in Perfetto\n"
@@ -230,7 +230,8 @@ constexpr SubcommandDoc kSubcommands[] = {
      "number and the offending token (exit 1).\n"},
     {"listen",
      "san_tool listen FILE [--port P] [--start D] [--cache N] [--batch B]"
-     " [--max-delay-us U] [--publish-every K] [--shards N]"
+     " [--max-delay-us U] [--publish-every K] [--max-line-bytes N]"
+     " [--max-outbound-bytes N] [--drain-timeout-ms N] [--sndbuf BYTES]"
      " [--stats-json FILE] [--trace FILE]",
      "serve the query grammar over a loopback TCP socket",
      "Serves the `serve`/`live` workload grammar over a newline-delimited\n"
@@ -265,7 +266,6 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                      microseconds; 0 = flush every loop pass\n"
      "                      (default: 1000)\n"
      "  --publish-every K   live: batches per published epoch (default: 1)\n"
-     "  --shards N          live: ingest shards, >= 1 (default: 1)\n"
      "  --max-line-bytes N  protocol line cap; longer lines get an ERR\n"
      "                      and a disconnect (default: 65536)\n"
      "  --max-outbound-bytes N  per-connection outbound buffer cap before\n"
@@ -338,7 +338,7 @@ const SubcommandDoc* find_subcommand(const std::string& name) {
   return nullptr;
 }
 
-int complain(const char* format, const char* value);
+int complain(const char* format, ...) __attribute__((format(printf, 1, 2)));
 
 int cmd_help(const std::string& topic) {
   if (topic.empty()) {
@@ -381,14 +381,53 @@ bool wants_help(int argc, char** argv) {
   return false;
 }
 
-int complain(const char* format, const char* value) {
+int complain(const char* format, ...) {
   std::fprintf(stderr, "error: ");
-  std::fprintf(stderr, format, value);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
   std::fprintf(stderr, "\n");
   return usage();
 }
 
-/// Minimal flag parser: returns the value following `flag`, or fallback.
+/// True when `token` is a flag (`-o`, `--cache`, ...) that `doc`'s
+/// synopsis names — the one list of flags each subcommand accepts.
+bool accepts_flag(const SubcommandDoc& doc, std::string_view token) {
+  if (!token.starts_with('-')) return false;
+  std::string_view rest = doc.synopsis;
+  while (!rest.empty()) {
+    const std::size_t space = rest.find(' ');
+    std::string_view word = rest.substr(0, space);
+    rest = space == std::string_view::npos ? "" : rest.substr(space + 1);
+    if (word.starts_with('[')) word.remove_prefix(1);
+    if (word.ends_with(']')) word.remove_suffix(1);
+    if (word == token) return true;
+  }
+  return false;
+}
+
+/// Strict argument check, run before any flag is read: everything from
+/// argv[first] on must be flag/value pairs, each flag one the synopsis
+/// names. A value may not itself be an accepted flag, so a trailing or
+/// skipped value is reported instead of swallowing the next flag.
+/// Returns -1 to continue, or the usage exit code.
+int check_flags(const SubcommandDoc& doc, int argc, char** argv, int first) {
+  for (int i = first; i < argc; i += 2) {
+    if (!accepts_flag(doc, argv[i])) {
+      return complain(argv[i][0] == '-' ? "unknown flag '%s' for %s"
+                                        : "unexpected argument '%s' for %s",
+                      argv[i], doc.name);
+    }
+    if (i + 1 == argc || accepts_flag(doc, argv[i + 1])) {
+      return complain("%s needs a value", argv[i]);
+    }
+  }
+  return -1;
+}
+
+/// Returns the value following `flag`, or fallback. check_flags has
+/// already vetted the argument list.
 const char* flag_value(int argc, char** argv, const char* flag,
                        const char* fallback) {
   for (int i = 0; i + 1 < argc; ++i) {
@@ -733,10 +772,10 @@ int cmd_serve(int argc, char** argv, const char* path) {
   return export_telemetry(registry, telemetry);
 }
 
-// The live serve/ingest loop, shared by the single-writer and sharded
-// paths (LiveTimeline and ShardedLiveTimeline expose the same ingest /
-// publish / tip_time / stats surface).
-int run_live_session(auto& live, LiveReplay& replay, const auto& steps,
+// The live serve/ingest loop: queries queue until the next ingest line,
+// which flushes them and advances the tip.
+int run_live_session(LiveTimeline& live, LiveReplay& replay,
+                     const std::vector<serve::WorkloadStep>& steps,
                      serve::SnapshotCache& cache, std::size_t batch_size,
                      const TelemetryOptions& telemetry) {
   serve::QueryEngine engine(cache);
@@ -834,13 +873,12 @@ int cmd_live(int argc, char** argv, const char* path) {
   if (workload_path == nullptr) {
     return complain("%s requires --workload FILE", "live");
   }
-  std::size_t cache_size = 0, batch_size = 0, publish_every = 0, shards = 0;
+  std::size_t cache_size = 0, batch_size = 0, publish_every = 0;
   double start = 0.0;
   const char* cache_text = flag_value(argc, argv, "--cache", "8");
   const char* batch_text = flag_value(argc, argv, "--batch", "1024");
   const char* publish_text = flag_value(argc, argv, "--publish-every", "1");
   const char* start_text = flag_value(argc, argv, "--start", "0");
-  const char* shards_text = flag_value(argc, argv, "--shards", "1");
   if (!parse_size(cache_text, cache_size) || cache_size == 0) {
     return complain("invalid --cache '%s' (need an integer > 0)", cache_text);
   }
@@ -853,10 +891,6 @@ int cmd_live(int argc, char** argv, const char* path) {
   }
   if (!parse_double(start_text, start) || start < 0.0) {
     return complain("invalid --start '%s' (need a day >= 0)", start_text);
-  }
-  if (!parse_size(shards_text, shards) || shards == 0) {
-    return complain("invalid --shards '%s' (need an integer > 0)",
-                    shards_text);
   }
   TelemetryOptions telemetry;
   if (const int rc = parse_telemetry(argc, argv, telemetry); rc >= 0) {
@@ -871,15 +905,6 @@ int cmd_live(int argc, char** argv, const char* path) {
   LiveReplay replay(net, start);
   const SanTimeline frozen(replay.seed);
   serve::SnapshotCache cache(frozen, cache_size);
-  if (shards > 1) {
-    san::ShardedLiveTimelineOptions live_options;
-    live_options.shards = shards;
-    live_options.batches_per_epoch = publish_every;
-    live_options.initial_tip = start;  // attr catalog times may lie ahead
-    san::ShardedLiveTimeline live(replay.seed, live_options);
-    cache.bind_live(live, start);
-    return run_live_session(live, replay, steps, cache, batch_size, telemetry);
-  }
   LiveTimelineOptions live_options;
   live_options.batches_per_epoch = publish_every;
   live_options.initial_tip = start;  // attr catalog times may lie ahead
@@ -931,9 +956,9 @@ int run_server(serve::Server& server, obs::Registry& registry,
   return export_telemetry(registry, telemetry);
 }
 
-// The live-bound server session, shared by the single-writer and sharded
-// ingest paths the same way run_live_session is.
-int run_listen_live(auto& live, LiveReplay& replay,
+// The live-bound server session: `ingest` lines from any connection run
+// through the same LiveReplay + LiveTimeline steps as file replay.
+int run_listen_live(LiveTimeline& live, LiveReplay& replay,
                     serve::SnapshotCache& cache,
                     const serve::ServerOptions& options,
                     const TelemetryOptions& telemetry) {
@@ -964,7 +989,7 @@ int run_listen_live(auto& live, LiveReplay& replay,
 }
 
 int cmd_listen(int argc, char** argv, const char* path) {
-  std::size_t cache_size = 0, batch_size = 0, publish_every = 0, shards = 0;
+  std::size_t cache_size = 0, batch_size = 0, publish_every = 0;
   std::size_t max_line = 0, max_outbound = 0;
   std::uint64_t port = 0, max_delay_us = 0, drain_timeout_ms = 0, sndbuf = 0;
   const char* port_text = flag_value(argc, argv, "--port", "0");
@@ -972,7 +997,6 @@ int cmd_listen(int argc, char** argv, const char* path) {
   const char* batch_text = flag_value(argc, argv, "--batch", "1024");
   const char* delay_text = flag_value(argc, argv, "--max-delay-us", "1000");
   const char* publish_text = flag_value(argc, argv, "--publish-every", "1");
-  const char* shards_text = flag_value(argc, argv, "--shards", "1");
   const char* start_text = flag_value(argc, argv, "--start", nullptr);
   const char* line_text = flag_value(argc, argv, "--max-line-bytes", "65536");
   const char* outbound_text =
@@ -995,10 +1019,6 @@ int cmd_listen(int argc, char** argv, const char* path) {
   if (!parse_size(publish_text, publish_every) || publish_every == 0) {
     return complain("invalid --publish-every '%s' (need an integer > 0)",
                     publish_text);
-  }
-  if (!parse_size(shards_text, shards) || shards == 0) {
-    return complain("invalid --shards '%s' (need an integer > 0)",
-                    shards_text);
   }
   if (!parse_size(line_text, max_line) || max_line == 0) {
     return complain("invalid --max-line-bytes '%s' (need an integer > 0)",
@@ -1057,15 +1077,6 @@ int cmd_listen(int argc, char** argv, const char* path) {
   LiveReplay replay(net, start);
   const SanTimeline frozen(replay.seed);
   serve::SnapshotCache cache(frozen, cache_size);
-  if (shards > 1) {
-    san::ShardedLiveTimelineOptions live_options;
-    live_options.shards = shards;
-    live_options.batches_per_epoch = publish_every;
-    live_options.initial_tip = start;  // attr catalog times may lie ahead
-    san::ShardedLiveTimeline live(replay.seed, live_options);
-    cache.bind_live(live, start);
-    return run_listen_live(live, replay, cache, options, telemetry);
-  }
   LiveTimelineOptions live_options;
   live_options.batches_per_epoch = publish_every;
   live_options.initial_tip = start;  // attr catalog times may lie ahead
@@ -1146,10 +1157,6 @@ int cmd_genload(int argc, char** argv) {
   return 0;
 }
 
-int missing_file(const char* command) {
-  return complain("%s requires a positional FILE argument", command);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1162,43 +1169,35 @@ int main(int argc, char** argv) {
   if (command == "help" || command == "--help" || command == "-h") {
     return cmd_help(argc >= 3 ? argv[2] : "");
   }
-  if (wants_help(argc, argv)) {
-    if (find_subcommand(command) != nullptr) return cmd_help(command);
-    return complain("unknown command '%s'", command.c_str());
-  }
+  const SubcommandDoc* doc = find_subcommand(command);
+  if (doc == nullptr) return complain("unknown command '%s'", command.c_str());
+  if (wants_help(argc, argv)) return cmd_help(command);
   // An unparseable SAN_SIMD is the same guard family as a bad flag value:
   // refuse up front instead of silently running on the detected level.
   if (const char* bad = core::simd::env_error()) {
     return complain("invalid SAN_SIMD '%s' (need scalar|sse|avx2)", bad);
   }
-  const bool has_file = argc >= 3 && argv[2][0] != '-';
+  // A subcommand takes a positional FILE exactly when its synopsis says so.
+  const std::string file_usage = "san_tool " + command + " FILE";
+  const bool takes_file =
+      std::string_view(doc->synopsis).starts_with(file_usage);
+  if (takes_file && (argc < 3 || argv[2][0] == '-')) {
+    return complain("%s requires a positional FILE argument", doc->name);
+  }
+  const int first_flag = takes_file ? 3 : 2;
+  if (const int rc = check_flags(*doc, argc, argv, first_flag); rc >= 0) {
+    return rc;
+  }
+  const char* path = takes_file ? argv[2] : nullptr;
   try {
     if (command == "generate") return cmd_generate(argc, argv);
-    if (command == "measure") {
-      return has_file ? cmd_measure(argc, argv, argv[2])
-                      : missing_file("measure");
-    }
-    if (command == "snapshots") {
-      return has_file ? cmd_snapshots(argc, argv, argv[2])
-                      : missing_file("snapshots");
-    }
-    if (command == "crawl") {
-      return has_file ? cmd_crawl(argc, argv, argv[2]) : missing_file("crawl");
-    }
-    if (command == "communities") {
-      return has_file ? cmd_communities(argc, argv, argv[2])
-                      : missing_file("communities");
-    }
-    if (command == "serve") {
-      return has_file ? cmd_serve(argc, argv, argv[2]) : missing_file("serve");
-    }
-    if (command == "live") {
-      return has_file ? cmd_live(argc, argv, argv[2]) : missing_file("live");
-    }
-    if (command == "listen") {
-      return has_file ? cmd_listen(argc, argv, argv[2])
-                      : missing_file("listen");
-    }
+    if (command == "measure") return cmd_measure(argc, argv, path);
+    if (command == "snapshots") return cmd_snapshots(argc, argv, path);
+    if (command == "crawl") return cmd_crawl(argc, argv, path);
+    if (command == "communities") return cmd_communities(argc, argv, path);
+    if (command == "serve") return cmd_serve(argc, argv, path);
+    if (command == "live") return cmd_live(argc, argv, path);
+    if (command == "listen") return cmd_listen(argc, argv, path);
     if (command == "genload") return cmd_genload(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

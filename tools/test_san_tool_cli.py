@@ -30,8 +30,14 @@ SUBCOMMANDS = [
 
 
 def run(*args, timeout=300):
-    return subprocess.run([SAN_TOOL, *args], capture_output=True, text=True,
-                          timeout=timeout)
+    """Run san_tool; a run past `timeout` is killed and reported as exit
+    code None so the check fails instead of the whole script."""
+    try:
+        return subprocess.run([SAN_TOOL, *args], capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(
+            args, None, "", f"timed out after {timeout} s")
 
 
 def check(name, condition, detail=""):
@@ -139,12 +145,6 @@ def test_usage_errors():
     expect("live bad --start -> exit 2",
            run("live", "f.san", "--workload", "w", "--start", "-1"), 2,
            ["invalid --start"])
-    expect("live bad --shards -> exit 2",
-           run("live", "f.san", "--workload", "w", "--shards", "0"), 2,
-           ["invalid --shards"])
-    expect("live garbage --shards -> exit 2",
-           run("live", "f.san", "--workload", "w", "--shards", "4x"), 2,
-           ["invalid --shards"])
     for name in ["serve", "live"]:
         expect(f"{name} zero --stats-every -> exit 2",
                run(name, "f.san", "--workload", "w", "--stats-every", "0"),
@@ -207,16 +207,6 @@ def test_end_to_end(tmp):
     check("live tip advanced between epochs",
           live_lines[1] != live_lines[2], live_lines[1])
 
-    # The sharded ingest path serves the same workload: identical stdout
-    # (per-query result lines are deterministic across shard counts).
-    sharded = run("live", san, "--workload", live_workload, "--start", "10",
-                  "--shards", "4")
-    expect("live --shards 4 -> exit 0", sharded, 0,
-           ["live tip", "events/s"])
-    check("sharded live matches single-shard results",
-          sharded.stdout == live.stdout,
-          f"sharded={sharded.stdout!r} single={live.stdout!r}")
-
     # The same serve workload with an ingest line must fail the load.
     with open(workload, "a", encoding="utf-8") as f:
         f.write("ingest 99\n")
@@ -228,6 +218,41 @@ def test_end_to_end(tmp):
     expect("live rejects non-advancing tips -> exit 1",
            run("live", san, "--workload", live_workload, "--start", "10"),
            1, ["strictly"])
+
+
+def test_strict_flags(tmp):
+    """Each subcommand accepts exactly the flags its synopsis names, each
+    followed by a value. The inputs are real, so a parser that skipped a
+    bad flag would run to exit 0 (or, for listen, serve until killed)."""
+    san = os.path.join(tmp, "flags.san")
+    expect("flags: generate -> exit 0",
+           run("generate", "--kind", "gplus", "--nodes", "900", "--seed",
+               "4", "-o", san), 0, ["wrote"])
+    workload = os.path.join(tmp, "flags_wl.txt")
+    with open(workload, "w", encoding="utf-8") as f:
+        f.write("ego 10 3\ningest 55\nego now 3\n")
+    live = ["live", san, "--workload", workload]
+
+    expect("live misspelled flag -> exit 2",
+           run(*live, "--start", "10", "--cahce", "0"), 2,
+           ["unknown flag '--cahce' for live", "usage:"])
+    expect("listen flag of another subcommand -> exit 2",
+           run("listen", san, "--workload", workload, timeout=30), 2,
+           ["unknown flag '--workload' for listen"])
+    expect("measure stray argument -> exit 2",
+           run("measure", san, "extra"), 2,
+           ["unexpected argument 'extra' for measure"])
+
+    expect("live trailing --start -> exit 2", run(*live, "--start"), 2,
+           ["--start needs a value", "usage:"])
+    expect("listen trailing --start -> exit 2",
+           run("listen", san, "--start", timeout=30), 2,
+           ["--start needs a value"])
+    expect("live --start followed by a flag -> exit 2",
+           run(*live, "--start", "--cache", "4"), 2,
+           ["--start needs a value"])
+    expect("generate trailing -o -> exit 2",
+           run("generate", "--kind", "gplus", "-o"), 2, ["-o needs a value"])
 
 
 def test_genload_usage_errors():
@@ -413,15 +438,6 @@ def test_listen_byte_identity(tmp):
               got.decode() == offline_live.stdout,
               f"got {len(got)}B want {len(offline_live.stdout)}B")
 
-    # Sharded live binding over the socket matches the single shard too.
-    with listen_server(san, "--start", "0", "--shards", "4") as (proc,
-                                                                 port):
-        check("listen --shards 4 starts", port is not None)
-        if port is not None:
-            got = sock_exchange(port, live_bytes)
-            check("sharded socket == live",
-                  got.decode() == offline_live.stdout)
-
 
 def test_listen_protocol_edges(tmp):
     """Edge rules over the wire: malformed tokens echo the file-replay
@@ -587,15 +603,14 @@ def test_telemetry(tmp):
                 "ingest 55\nego now 3\nlinkrec now 4 5\n"
                 "ingest 99\nattrs now 5 3\nrecip now 3 7\n")
 
-    plain = run("live", san, "--workload", workload, "--start", "10",
-                "--shards", "2")
+    plain = run("live", san, "--workload", workload, "--start", "10")
     expect("telemetry: untelemetered live -> exit 0", plain, 0)
 
     stats_path = os.path.join(tmp, "stats.json")
     trace_path = os.path.join(tmp, "trace.json")
     telem = run("live", san, "--workload", workload, "--start", "10",
-                "--shards", "2", "--stats-json", stats_path, "--trace",
-                trace_path, "--stats-every", "1")
+                "--stats-json", stats_path, "--trace", trace_path,
+                "--stats-every", "1")
     expect("telemetry: instrumented live -> exit 0", telem, 0,
            ["telemetry[batch "])
     check("telemetry is observation-only (stdout identical)",
@@ -606,6 +621,8 @@ def test_telemetry(tmp):
         stats = json.load(f)
     required = (["cache.hits", "cache.misses", "cache.coalesced",
                  "live.ingest_to_publish.p50_us", "live.epochs",
+                 "live.absorb.p50_us", "live.advance.p50_us",
+                 "live.publish.p50_us", "live.epoch_buffers",
                  "serve.batch.p99_us", "simd.active_level"]
                 + [f"serve.query.{kind}.{pct}"
                    for kind in ("linkrec", "attrs", "ego", "recip")
@@ -635,7 +652,7 @@ def test_telemetry(tmp):
                   and "dur" in e for e in events))
         names = {e["name"] for e in events}
         check("trace includes serve and ingest spans",
-              "serve.run_batch" in names and "live.stitch" in names,
+              "serve.run_batch" in names and "live.advance" in names,
               str(sorted(names)))
 
     # serve takes the same flags; --stats-every alone must not change
@@ -670,6 +687,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         test_runtime_failures(tmp)
         test_end_to_end(tmp)
+        test_strict_flags(tmp)
         test_genload_pipeline(tmp)
         test_new_query_kinds(tmp)
         test_telemetry(tmp)
