@@ -2,12 +2,13 @@
 // SAN four ways — the SEED algorithm (unsorted edge list canonicalized per
 // day + vector<vector> attribute layer, reproduced below), the current
 // naive san::snapshot_at (full log re-scan per day, shared fast builders),
-// a SanTimeline full-rebuild sweep (snapshot_at per day: a filter over the
+// a SanTimeline rebuild leg (snapshot_at per day: a filter over the
 // timeline's link index, which the first day builds), and the delta sweep
 // (advance day to day, O(new links) per day) — and FAILS (exit 1) if any
 // per-day metric of either timeline path deviates from the naive path, if
 // the seed-path counts disagree, or if the delta-sweep metrics change at
-// 1/2/4/8 threads. The acceptance speedup compares the delta sweep against
+// 1/2/4/8 threads. The seed, rebuild and delta legs are each the median of
+// kReps timings. The acceptance speedup compares the delta sweep against
 // the seed path (>= 3x); delta vs full rebuild is reported, informational.
 // Scale with SAN_BENCH_NODES (default 60k social nodes, ~1M links), days
 // with SAN_TIMELINE_DAYS. `--json OUT` writes the headline metrics for the
@@ -119,6 +120,15 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Repetitions behind each gated leg's median: one timing of a smoke-scale
+/// leg swings by 2x on a shared host.
+constexpr std::size_t kReps = 5;
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 int fail(const char* what, double day) {
   std::fprintf(stderr, "FAIL: %s deviates at day %.2f\n", what, day);
   return 1;
@@ -152,19 +162,26 @@ int main(int argc, char** argv) {
   }
 
   // Per-day metric evaluation is identical work on every path, so it is
-  // timed separately and excluded from the speedup: the gate compares
-  // snapshot MATERIALIZATION (full re-scan + sort per day vs the timeline's
-  // index filter or delta append).
+  // kept out of the timed legs: the gate compares snapshot MATERIALIZATION
+  // (full re-scan + sort per day vs the timeline's index filter or delta
+  // append). Each gated leg is the median of kReps timings, one fresh
+  // SanTimeline per repetition so every rebuild sample includes the
+  // link-index build (the first dense snapshot builds it).
   bench::header("seed sweep: canonicalize-from-scratch + vector<vector>");
   std::vector<std::uint64_t> seed_edges(n_days), seed_attr_links(n_days);
-  double seed_s = 0.0;
-  for (std::size_t i = 0; i < n_days; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto snap = seed_snapshot_at(net, days[i]);
-    seed_s += seconds_since(start);
-    seed_edges[i] = snap.social.edge_count();
-    seed_attr_links[i] = snap.attribute_link_count;
+  std::vector<double> seed_reps;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n_days; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto snap = seed_snapshot_at(net, days[i]);
+      total += seconds_since(start);
+      seed_edges[i] = snap.social.edge_count();
+      seed_attr_links[i] = snap.attribute_link_count;
+    }
+    seed_reps.push_back(total);
   }
+  const double seed_s = median(seed_reps);
   std::printf("seed:     %7.3f s materialization (%zu snapshots)\n", seed_s,
               n_days);
 
@@ -180,39 +197,31 @@ int main(int argc, char** argv) {
   std::printf("naive:    %7.3f s materialization (%zu snapshots)\n", naive_s,
               n_days);
 
-  bench::header("timeline full-rebuild sweep: filter the link index per day");
-  const auto index_start = std::chrono::steady_clock::now();
-  const SanTimeline timeline(net);
-  const double index_s = seconds_since(index_start);
-  std::vector<DayMetrics> indexed(n_days);
-  double metric_s = 0.0;
-  const auto rebuild_start = std::chrono::steady_clock::now();
-  {
-    std::size_t i = 0;
-    timeline.sweep_full_rebuild(days, [&](double, const SanSnapshot& snap) {
+  bench::header("timeline: snapshot_at per day (link-index filter) vs the"
+                " delta sweep (O(new links) per day)");
+  std::vector<double> index_reps, rebuild_reps, delta_reps;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    const auto index_start = std::chrono::steady_clock::now();
+    const SanTimeline fresh(net);
+    index_reps.push_back(seconds_since(index_start));
+    double rebuild = 0.0;
+    for (const double day : days) {
       const auto start = std::chrono::steady_clock::now();
-      indexed[i++] = measure(snap);
-      metric_s += seconds_since(start);
-    });
+      const auto snap = fresh.snapshot_at(day);
+      rebuild += seconds_since(start);
+    }
+    rebuild_reps.push_back(rebuild);
+    const auto delta_start = std::chrono::steady_clock::now();
+    fresh.sweep(days, [](double, const SanSnapshot&) {});
+    delta_reps.push_back(seconds_since(delta_start));
   }
-  const double rebuild_s = seconds_since(rebuild_start) - metric_s;
+  const double index_s = median(index_reps);
+  const double rebuild_s = median(rebuild_reps);
+  const double delta_s = median(delta_reps);
   std::printf("timeline: %7.3f s index + %7.3f s materialization\n", index_s,
               rebuild_s);
-
-  bench::header("delta sweep: advance day to day, O(new links) per day");
-  std::vector<DayMetrics> delta(n_days);
-  metric_s = 0.0;
-  const auto delta_start = std::chrono::steady_clock::now();
-  {
-    std::size_t i = 0;
-    timeline.sweep(days, [&](double, const SanSnapshot& snap) {
-      const auto start = std::chrono::steady_clock::now();
-      delta[i++] = measure(snap);
-      metric_s += seconds_since(start);
-    });
-  }
-  const double delta_s = seconds_since(delta_start) - metric_s;
   std::printf("delta:    %7.3f s materialization\n", delta_s);
+  std::printf("(medians of %zu repetitions)\n", kReps);
   std::printf("speedup vs seed path:    %0.2fx (acceptance target >= 3x)\n",
               seed_s / (index_s + delta_s));
   std::printf("speedup vs new naive:    %0.2fx\n",
@@ -223,10 +232,23 @@ int main(int argc, char** argv) {
               seed_s / (index_s + rebuild_s));
   report.add("speedup_vs_seed", seed_s / (index_s + delta_s));
   report.add("delta_vs_full_speedup", rebuild_s / delta_s);
-  // The full-rebuild leg's own ratio, gated: it times the dense path every
+  // The rebuild leg's own ratio, gated: it times the dense path every
   // SnapshotCache miss takes, link index build included.
   report.add("rebuild_vs_seed", seed_s / (index_s + rebuild_s));
 
+  // The identity gate, untimed: every day of both timeline paths against
+  // the naive snapshot.
+  const SanTimeline timeline(net);
+  std::vector<DayMetrics> indexed(n_days), delta(n_days);
+  for (std::size_t i = 0; i < n_days; ++i) {
+    indexed[i] = measure(timeline.snapshot_at(days[i]));
+  }
+  {
+    std::size_t i = 0;
+    timeline.sweep(days, [&](double, const SanSnapshot& snap) {
+      delta[i++] = measure(snap);
+    });
+  }
   for (std::size_t i = 0; i < n_days; ++i) {
     if (!(naive[i] == indexed[i])) return fail("timeline vs naive", days[i]);
     if (!(naive[i] == delta[i])) return fail("delta sweep vs naive", days[i]);

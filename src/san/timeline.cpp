@@ -736,14 +736,4 @@ void SanTimeline::sweep(
   }
 }
 
-void SanTimeline::sweep_full_rebuild(
-    std::span<const double> times,
-    const std::function<void(double, const SanSnapshot&)>& visit) const {
-  SanSnapshot snap;
-  for (const double time : times) {
-    materialize(time, snap, nullptr);
-    visit(time, snap);
-  }
-}
-
 }  // namespace san

@@ -135,14 +135,6 @@ class SanTimeline {
       std::span<const double> times,
       const std::function<void(double, const SanSnapshot&)>& visit) const;
 
-  /// Reference sweep that filters every snapshot from the link index
-  /// (snapshot_at per day, one snapshot object reused). Same results as
-  /// sweep(); kept for benchmarking the delta path against and for callers
-  /// that want dense snapshot layouts.
-  void sweep_full_rebuild(
-      std::span<const double> times,
-      const std::function<void(double, const SanSnapshot&)>& visit) const;
-
  private:
   /// Rebuild `snap` as of `time`: densely packed from the link index when
   /// `slack` is null, else in the advance-ready slack layout through the

@@ -200,9 +200,9 @@ TEST(SimdSweep, ServeBatchMatchesSingleAcrossLevelsAndThreads) {
   core::set_thread_count(1);
 }
 
-// The timeline gate: delta-sweep and full-rebuild snapshots fingerprint-
-// identical to the naive per-day rescan at every SAN_SIMD x SAN_THREADS
-// combination.
+// The timeline gate: delta-sweep and snapshot_at (link-index filter)
+// snapshots fingerprint-identical to the naive per-day rescan at every
+// SAN_SIMD x SAN_THREADS combination.
 TEST(SimdSweep, TimelineDeltaMatchesNaiveAcrossLevelsAndThreads) {
   const auto net = testlib::synthetic_gplus(2000, 0xABC);
   std::vector<double> days;
@@ -228,14 +228,12 @@ TEST(SimdSweep, TimelineDeltaMatchesNaiveAcrossLevelsAndThreads) {
             << threads << " threads, day " << day;
         ++i;
       });
-      i = 0;
-      timeline.sweep_full_rebuild(days, [&](double day,
-                                            const SanSnapshot& snap) {
-        ASSERT_EQ(testlib::snapshot_fingerprint(snap), naive[i])
-            << "full rebuild, " << simd::level_name(level) << " x "
-            << threads << " threads, day " << day;
-        ++i;
-      });
+      for (i = 0; i < days.size(); ++i) {
+        ASSERT_EQ(testlib::snapshot_fingerprint(timeline.snapshot_at(days[i])),
+                  naive[i])
+            << "snapshot_at, " << simd::level_name(level) << " x "
+            << threads << " threads, day " << days[i];
+      }
     }
   }
   simd::set_level(simd::detected_level());

@@ -40,8 +40,9 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -338,7 +339,23 @@ const SubcommandDoc* find_subcommand(const std::string& name) {
   return nullptr;
 }
 
-int complain(const char* format, ...) __attribute__((format(printf, 1, 2)));
+/// A usage error (exit 2): unknown subcommand or flag, bad or missing
+/// flag value, missing positional. main() prints it with the usage text.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] __attribute__((format(printf, 1, 2))) void usage_error(
+    const char* format, ...) {
+  va_list args, sizing;
+  va_start(args, format);
+  va_copy(sizing, args);
+  std::string message(std::vsnprintf(nullptr, 0, format, sizing), '\0');
+  va_end(sizing);
+  std::vsnprintf(message.data(), message.size() + 1, format, args);
+  va_end(args);
+  throw UsageError(message);
+}
 
 int cmd_help(const std::string& topic) {
   if (topic.empty()) {
@@ -364,31 +381,10 @@ int cmd_help(const std::string& topic) {
     return 0;
   }
   const SubcommandDoc* doc = find_subcommand(topic);
-  if (doc == nullptr) return complain("unknown command '%s'", topic.c_str());
+  if (doc == nullptr) usage_error("unknown command '%s'", topic.c_str());
   std::printf("usage: %s\n\n%s\n%s", doc->synopsis, doc->details,
               "exit codes: 0 success, 1 runtime failure, 2 usage error\n");
   return 0;
-}
-
-/// True when --help/-h appears anywhere after the subcommand.
-bool wants_help(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-int complain(const char* format, ...) {
-  std::fprintf(stderr, "error: ");
-  va_list args;
-  va_start(args, format);
-  std::vfprintf(stderr, format, args);
-  va_end(args);
-  std::fprintf(stderr, "\n");
-  return usage();
 }
 
 /// True when `token` is a flag (`-o`, `--cache`, ...) that `doc`'s
@@ -407,83 +403,110 @@ bool accepts_flag(const SubcommandDoc& doc, std::string_view token) {
   return false;
 }
 
-/// Strict argument check, run before any flag is read: everything from
-/// argv[first] on must be flag/value pairs, each flag one the synopsis
-/// names. A value may not itself be an accepted flag, so a trailing or
-/// skipped value is reported instead of swallowing the next flag.
-/// Returns -1 to continue, or the usage exit code.
-int check_flags(const SubcommandDoc& doc, int argc, char** argv, int first) {
-  for (int i = first; i < argc; i += 2) {
-    if (!accepts_flag(doc, argv[i])) {
-      return complain(argv[i][0] == '-' ? "unknown flag '%s' for %s"
-                                        : "unexpected argument '%s' for %s",
-                      argv[i], doc.name);
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// A subcommand's flag/value pairs, checked before any is read: each flag
+/// one the synopsis names, given at most once, and followed by a value
+/// that is not itself an accepted flag (so a trailing or skipped value is
+/// reported instead of swallowing the next flag). The typed reads parse
+/// strictly (core/parse.hpp, no atof/atol-style silent zero) and report a
+/// bad value as `invalid --FLAG 'VALUE' (need RANGE)`.
+class Flags {
+ public:
+  Flags(const SubcommandDoc& doc, int argc, char** argv, int first)
+      : doc_(doc) {
+    for (int i = first; i < argc; i += 2) {
+      if (!accepts_flag(doc, argv[i])) {
+        usage_error(argv[i][0] == '-' ? "unknown flag '%s' for %s"
+                                      : "unexpected argument '%s' for %s",
+                    argv[i], doc.name);
+      }
+      if (i + 1 == argc || accepts_flag(doc, argv[i + 1])) {
+        usage_error("%s needs a value", argv[i]);
+      }
+      if (text(argv[i]) != nullptr) usage_error("%s given twice", argv[i]);
+      values_.emplace_back(argv[i], argv[i + 1]);
     }
-    if (i + 1 == argc || accepts_flag(doc, argv[i + 1])) {
-      return complain("%s needs a value", argv[i]);
+  }
+
+  /// The value given for `flag`, or `fallback` when it is absent.
+  const char* text(std::string_view flag,
+                   const char* fallback = nullptr) const {
+    for (const auto& [name, value] : values_) {
+      if (name == flag) return value;
     }
+    return fallback;
   }
-  return -1;
-}
 
-/// Returns the value following `flag`, or fallback. check_flags has
-/// already vetted the argument list.
-const char* flag_value(int argc, char** argv, const char* flag,
-                       const char* fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
+  /// The value of a flag the subcommand cannot run without.
+  const char* required(const char* flag) const {
+    const char* value = text(flag);
+    if (value == nullptr) usage_error("%s requires %s FILE", doc_.name, flag);
+    return value;
   }
-  return fallback;
-}
 
-/// Strict numeric parsing (core/parse.hpp): the whole token must convert,
-/// no atof/atol-style silent zero on garbage.
-bool parse_double(const char* text, double& out) {
-  return core::parse_double_strict(text, out);
-}
-
-bool parse_u64(const char* text, std::uint64_t& out) {
-  return core::parse_u64_strict(text, out);
-}
-
-bool parse_size(const char* text, std::size_t& out) {
-  std::uint64_t value = 0;
-  if (!parse_u64(text, value) ||
-      value > std::numeric_limits<std::size_t>::max()) {
-    return false;
+  /// An integer in [lo, hi], or `fallback` when the flag is absent.
+  std::uint64_t integer(const char* flag, std::uint64_t fallback,
+                        std::uint64_t lo = 0,
+                        std::uint64_t hi = kMaxU64) const {
+    const char* value = text(flag);
+    std::uint64_t out = fallback;
+    if (value != nullptr &&
+        (!core::parse_u64_strict(value, out) || out < lo || out > hi)) {
+      if (hi == kMaxU64) {
+        usage_error("invalid %s '%s' (need an integer >= %llu)", flag, value,
+                    static_cast<unsigned long long>(lo));
+      }
+      usage_error("invalid %s '%s' (need an integer in [%llu, %llu])", flag,
+                  value, static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi));
+    }
+    return out;
   }
-  out = static_cast<std::size_t>(value);
-  return true;
-}
+
+  /// A number in [lo, hi] (above lo when `above`), or `fallback` when the
+  /// flag is absent. Infinities parse; NaN never does.
+  double number(const char* flag, double fallback, double lo = -kInf,
+                double hi = kInf, bool above = false) const {
+    const char* value = text(flag);
+    double out = fallback;
+    if (value != nullptr && (!core::parse_double_strict(value, out) ||
+                             out < lo || (above && out == lo) || out > hi)) {
+      if (hi < kInf) {
+        usage_error("invalid %s '%s' (need a number in [%g, %g])", flag,
+                    value, lo, hi);
+      }
+      if (lo > -kInf) {
+        usage_error("invalid %s '%s' (need a number %s %g)", flag, value,
+                    above ? ">" : ">=", lo);
+      }
+      usage_error("invalid %s '%s' (need a number)", flag, value);
+    }
+    return out;
+  }
+
+ private:
+  const SubcommandDoc& doc_;
+  std::vector<std::pair<std::string_view, const char*>> values_;
+};
 
 /// With SIGPIPE ignored a dead stdout (closed pipe, full disk) surfaces
 /// as a buffered-stdio error instead of killing the process; flush after
 /// every result batch so truncation fails the run instead of looking
 /// like success.
-bool flush_stdout() {
-  return std::fflush(stdout) == 0 && std::ferror(stdout) == 0;
+void flush_stdout() {
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    throw std::runtime_error(
+        "short write to stdout (closed pipe or full disk)");
+  }
 }
 
-int broken_stdout() {
-  std::fprintf(stderr,
-               "error: short write to stdout (closed pipe or full disk)\n");
-  return 1;
-}
-
-int cmd_generate(int argc, char** argv) {
-  const std::string kind = flag_value(argc, argv, "--kind", "model");
-  std::size_t nodes = 0;
-  std::uint64_t seed = 0;
-  const char* nodes_text = flag_value(argc, argv, "--nodes", "20000");
-  const char* seed_text = flag_value(argc, argv, "--seed", "42");
-  if (!parse_size(nodes_text, nodes)) {
-    return complain("invalid --nodes '%s'", nodes_text);
-  }
-  if (!parse_u64(seed_text, seed)) {
-    return complain("invalid --seed '%s'", seed_text);
-  }
-  const char* out = flag_value(argc, argv, "-o", nullptr);
-  if (out == nullptr) return complain("%s requires -o FILE", "generate");
+int cmd_generate(const Flags& flags) {
+  const std::string kind = flags.text("--kind", "model");
+  const std::size_t nodes = flags.integer("--nodes", 20000);
+  const std::uint64_t seed = flags.integer("--seed", 42);
+  const char* out = flags.required("-o");
 
   SocialAttributeNetwork net;
   if (kind == "model") {
@@ -502,7 +525,7 @@ int cmd_generate(int argc, char** argv) {
     params.seed = seed;
     net = crawl::generate_synthetic_gplus(params);
   } else {
-    return complain("unknown --kind '%s'", kind.c_str());
+    usage_error("unknown --kind '%s'", kind.c_str());
   }
   save_san(net, std::string(out));
   std::printf("wrote %s: %zu social nodes, %llu social links, %zu attributes,"
@@ -514,12 +537,8 @@ int cmd_generate(int argc, char** argv) {
   return 0;
 }
 
-int cmd_measure(int argc, char** argv, const char* path) {
-  double day = 0.0;
-  const char* day_text = flag_value(argc, argv, "--day", "1e300");
-  if (!parse_double(day_text, day)) {
-    return complain("invalid --day '%s'", day_text);
-  }
+int cmd_measure(const Flags& flags, const char* path) {
+  const double day = flags.number("--day", 1e300);
   const auto net = load_san(path);
   const auto snap = day >= 1e300 ? snapshot_full(net) : snapshot_at(net, day);
 
@@ -553,12 +572,8 @@ int cmd_measure(int argc, char** argv, const char* path) {
   return 0;
 }
 
-int cmd_snapshots(int argc, char** argv, const char* path) {
-  double step = 0.0;
-  const char* step_text = flag_value(argc, argv, "--step", "1");
-  if (!parse_double(step_text, step) || step <= 0.0) {
-    return complain("invalid --step '%s' (need a number > 0)", step_text);
-  }
+int cmd_snapshots(const Flags& flags, const char* path) {
+  const double step = flags.number("--step", 1.0, 0.0, kInf, /*above=*/true);
   const auto net = load_san(path);
   const SanTimeline timeline(net);
 
@@ -591,20 +606,10 @@ int cmd_snapshots(int argc, char** argv, const char* path) {
   return 0;
 }
 
-int cmd_crawl(int argc, char** argv, const char* path) {
-  double day = 0.0, privacy = 0.0;
-  const char* day_text = flag_value(argc, argv, "--day", "1e300");
-  const char* privacy_text = flag_value(argc, argv, "--private", "0.12");
-  if (!parse_double(day_text, day)) {
-    return complain("invalid --day '%s'", day_text);
-  }
-  if (!parse_double(privacy_text, privacy) || privacy < 0.0 ||
-      privacy > 1.0) {
-    return complain("invalid --private '%s' (need a probability)",
-                    privacy_text);
-  }
-  const char* out = flag_value(argc, argv, "-o", nullptr);
-  if (out == nullptr) return complain("%s requires -o FILE", "crawl");
+int cmd_crawl(const Flags& flags, const char* path) {
+  const double day = flags.number("--day", 1e300);
+  const double privacy = flags.number("--private", 0.12, 0.0, 1.0);
+  const char* out = flags.required("-o");
 
   const auto truth = load_san(path);
   crawl::CrawlerOptions options;
@@ -618,16 +623,12 @@ int cmd_crawl(int argc, char** argv, const char* path) {
   return 0;
 }
 
-int cmd_communities(int argc, char** argv, const char* path) {
-  double w = 0.0;
-  const char* weight_text = flag_value(argc, argv, "--attribute-weight", "0");
-  if (!parse_double(weight_text, w)) {
-    return complain("invalid --attribute-weight '%s'", weight_text);
-  }
+int cmd_communities(const Flags& flags, const char* path) {
+  const double weight = flags.number("--attribute-weight", 0.0);
   const auto net = load_san(path);
   const auto snap = snapshot_full(net);
   apps::CommunityOptions options;
-  options.attribute_weight = w;
+  options.attribute_weight = weight;
   const auto result = apps::detect_communities(snap, options);
   std::printf("communities: %zu (after %d iterations), modularity %.4f\n",
               result.community_count, result.iterations,
@@ -635,65 +636,137 @@ int cmd_communities(int argc, char** argv, const char* path) {
   return 0;
 }
 
-/// Telemetry flags shared by `serve` and `live`. Parsing also flips the
-/// obs capture switches, so instrumented sites start reading the clock
-/// only when a sink asked for the data.
-struct TelemetryOptions {
+/// The flags `serve`, `live` and `listen` share. Reading them also flips
+/// the obs capture switches, so instrumented sites start reading the
+/// clock only when a sink asked for the data.
+struct SessionOptions {
+  /// Seed horizon of the live binding; none serves the complete network.
+  std::optional<double> start;
+  std::size_t cache_size = 8;
+  std::size_t batch_size = 1024;
+  std::size_t publish_every = 1;
   const char* stats_json = nullptr;
   const char* trace = nullptr;
   std::size_t stats_every = 0;  // 0 = no periodic stderr line
 };
 
-/// Parse and validate the telemetry flags. Returns -1 to continue, or an
-/// exit code. Output paths are probed writable up front (exit 2) — a long
-/// session must not discover a bad sink path at export time.
-int parse_telemetry(int argc, char** argv, TelemetryOptions& out) {
-  out.stats_json = flag_value(argc, argv, "--stats-json", nullptr);
-  out.trace = flag_value(argc, argv, "--trace", nullptr);
-  const char* every_text = flag_value(argc, argv, "--stats-every", nullptr);
-  if (every_text != nullptr &&
-      (!parse_size(every_text, out.stats_every) || out.stats_every == 0)) {
-    return complain("invalid --stats-every '%s' (need an integer > 0)",
-                    every_text);
+/// `live` always binds (default --start 0), `listen` only when --start is
+/// given, `serve` never (its synopsis has no --start). Output paths are
+/// probed writable up front — a long session must not discover a bad sink
+/// path at export time.
+SessionOptions read_session_options(const Flags& flags, bool always_live) {
+  SessionOptions options;
+  if (always_live || flags.text("--start") != nullptr) {
+    options.start = flags.number("--start", 0.0, 0.0);
   }
-  for (const char* sink : {out.stats_json, out.trace}) {
+  options.cache_size = flags.integer("--cache", options.cache_size, 1);
+  options.batch_size = flags.integer("--batch", options.batch_size, 1);
+  options.publish_every =
+      flags.integer("--publish-every", options.publish_every, 1);
+  options.stats_json = flags.text("--stats-json");
+  options.trace = flags.text("--trace");
+  options.stats_every = flags.integer("--stats-every", 0, 1);
+  for (const char* sink : {options.stats_json, options.trace}) {
     if (sink == nullptr) continue;
     std::FILE* probe = std::fopen(sink, "w");
-    if (probe == nullptr) return complain("unwritable output path '%s'", sink);
+    if (probe == nullptr) usage_error("unwritable output path '%s'", sink);
     std::fclose(probe);
   }
-  if (out.stats_json != nullptr || out.stats_every != 0) {
+  if (options.stats_json != nullptr || options.stats_every != 0) {
     obs::set_timing_enabled(true);
   }
-  if (out.trace != nullptr) obs::set_tracing_enabled(true);
-  return -1;
+  if (options.trace != nullptr) obs::set_tracing_enabled(true);
+  return options;
 }
 
-/// One-shot kernel-dispatch info (numeric levels; the names stay on the
-/// human-readable stderr line).
-void register_simd_metrics(obs::Registry& registry) {
-  registry.attach_fn("simd.active_level", [] {
-    return static_cast<double>(core::simd::active_level());
-  });
-  registry.attach_fn("simd.detected_level", [] {
-    return static_cast<double>(core::simd::detected_level());
-  });
-}
+/// The serving stack behind `serve`, `live` and `listen`: a frozen
+/// timeline behind the LRU snapshot cache, an optional live binding, the
+/// query engine, and a registry with all of their telemetry attached.
+/// With a --start day, events up to it seed the frozen history and the
+/// rest become the LiveReplay stream that ingest() hands to a
+/// LiveTimeline; the cache resolves later times and `now` to its latest
+/// published epoch. The loaded network is released once the timelines are
+/// built: serving never reads it.
+struct Session {
+  Session(const char* path, const SessionOptions& session_options)
+      : Session(load_san(path), session_options) {}
 
-/// Write the requested sinks; 1 (runtime failure) when a probed-writable
-/// path stopped being writable mid-session.
-int export_telemetry(const obs::Registry& registry,
-                     const TelemetryOptions& telemetry) {
-  int rc = 0;
-  if (telemetry.stats_json != nullptr &&
-      !registry.write_json(telemetry.stats_json)) {
-    rc = 1;
+  Session(const SocialAttributeNetwork& net,
+          const SessionOptions& session_options)
+      : options(session_options),
+        replay(options.start ? std::optional<LiveReplay>(
+                                   std::in_place, net, *options.start)
+                             : std::nullopt),
+        frozen(replay ? replay->seed : net),
+        cache(frozen, options.cache_size) {
+    if (replay) {
+      LiveTimelineOptions live_options;
+      live_options.batches_per_epoch = options.publish_every;
+      live_options.initial_tip = *options.start;  // attr catalog times may
+                                                  // lie ahead
+      live.emplace(replay->seed, live_options);
+      cache.bind_live(*live, *options.start);
+      replay->seed = SocialAttributeNetwork{};  // both timelines copied it
+      live->register_metrics(registry, "live");
+    }
+    cache.register_metrics(registry, "cache");
+    engine.register_metrics(registry, "serve");
+    // One-shot kernel-dispatch info (numeric levels; the names stay on
+    // the human-readable stderr lines).
+    registry.attach_fn("simd.active_level", [] {
+      return static_cast<double>(core::simd::active_level());
+    });
+    registry.attach_fn("simd.detected_level", [] {
+      return static_cast<double>(core::simd::detected_level());
+    });
   }
-  if (telemetry.trace != nullptr && !obs::write_chrome_trace(telemetry.trace)) {
-    rc = 1;
+
+  /// One `ingest <tip>` line: hand the replay's events up to `tip` to the
+  /// live timeline. On false, `error` says why the line was rejected:
+  /// there is no live binding, or the tip is bad (e.g. not strictly
+  /// advancing) — validate-before-mutate leaves the timeline usable.
+  bool ingest(double tip, std::string& error) {
+    if (!live) {
+      error = "ingest lines need a live binding (listen --start D)";
+      return false;
+    }
+    try {
+      const IngestBatch batch = replay->batch_until(tip);
+      const auto begin = std::chrono::steady_clock::now();
+      live->ingest(batch);
+      ingest_seconds += std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+      ingested_events += batch.social_nodes.size() +
+                         batch.social_links.size() +
+                         batch.attribute_links.size();
+      return true;
+    } catch (const std::exception& e) {
+      error = e.what();
+      return false;
+    }
   }
-  return rc;
-}
+
+  /// Write the requested sinks; 1 (runtime failure) when a
+  /// probed-writable path stopped being writable mid-session.
+  int export_telemetry() const {
+    const bool stats_ok = options.stats_json == nullptr ||
+                          registry.write_json(options.stats_json);
+    const bool trace_ok =
+        options.trace == nullptr || obs::write_chrome_trace(options.trace);
+    return stats_ok && trace_ok ? 0 : 1;
+  }
+
+  const SessionOptions options;
+  std::optional<LiveReplay> replay;  // the future event stream (live)
+  SanTimeline frozen;
+  serve::SnapshotCache cache;
+  std::optional<LiveTimeline> live;
+  serve::QueryEngine engine{cache};
+  obs::Registry registry;
+  std::size_t ingested_events = 0;
+  double ingest_seconds = 0.0;  // inside LiveTimeline::ingest only
+};
 
 double snapshot_value(
     const std::vector<std::pair<std::string, double>>& snapshot,
@@ -704,50 +777,44 @@ double snapshot_value(
   return 0.0;
 }
 
-int cmd_serve(int argc, char** argv, const char* path) {
-  const char* workload_path = flag_value(argc, argv, "--workload", nullptr);
-  if (workload_path == nullptr) {
-    return complain("%s requires --workload FILE", "serve");
-  }
-  std::size_t cache_size = 0, batch_size = 0;
-  const char* cache_text = flag_value(argc, argv, "--cache", "8");
-  const char* batch_text = flag_value(argc, argv, "--batch", "1024");
-  if (!parse_size(cache_text, cache_size) || cache_size == 0) {
-    return complain("invalid --cache '%s' (need an integer > 0)", cache_text);
-  }
-  if (!parse_size(batch_text, batch_size) || batch_size == 0) {
-    return complain("invalid --batch '%s' (need an integer > 0)", batch_text);
-  }
-  TelemetryOptions telemetry;
-  if (const int rc = parse_telemetry(argc, argv, telemetry); rc >= 0) {
-    return rc;
-  }
-
-  const auto net = load_san(path);
-  const SanTimeline timeline(net);
-  serve::SnapshotCache cache(timeline, cache_size);
-  serve::QueryEngine engine(cache);
-  const auto queries = serve::load_workload(workload_path);
-
-  obs::Registry registry;
-  cache.register_metrics(registry, "cache");
-  engine.register_metrics(registry, "serve");
-  register_simd_metrics(registry);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t served = 0, batches = 0;
-  while (served < queries.size()) {
-    const std::size_t count = std::min(batch_size, queries.size() - served);
-    const auto results = engine.run_batch(
-        std::span<const serve::Query>(queries.data() + served, count));
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      std::printf("%s\n", results[i].to_line(queries[served + i]).c_str());
+/// `serve` and `live`: file replay through a session. Queries queue until
+/// a batch fills or an `ingest` line arrives, which runs them first and
+/// then advances the live tip — the order `listen` runs a connection's
+/// lines in, so socket and file replay give the same bytes.
+int cmd_replay(const Flags& flags, const char* path, bool live_replay) {
+  const char* workload_path = flags.required("--workload");
+  Session session(path, read_session_options(flags, live_replay));
+  std::vector<serve::WorkloadStep> steps;
+  if (live_replay) {
+    steps = serve::load_live_workload(workload_path);
+  } else {
+    // `serve`'s loader refuses ingest lines.
+    for (auto& query : serve::load_workload(workload_path)) {
+      steps.emplace_back().query = std::move(query);
     }
-    if (!flush_stdout()) return broken_stdout();
-    served += count;
+  }
+
+  LiveTimeline* live = session.live ? &*session.live : nullptr;
+  const std::size_t every = session.options.stats_every;
+  std::vector<serve::Query> queued;
+  std::size_t served = 0, batches = 0, ingests = 0;
+  double query_seconds = 0.0;
+  const auto run_queued = [&] {
+    if (queued.empty()) return;
+    const auto begin = std::chrono::steady_clock::now();
+    const auto results = session.engine.run_batch(queued);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      std::printf("%s\n", results[i].to_line(queued[i]).c_str());
+    }
+    query_seconds += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - begin)
+                         .count();
+    served += queued.size();
+    queued.clear();
+    flush_stdout();
     ++batches;
-    if (telemetry.stats_every != 0 && batches % telemetry.stats_every == 0) {
-      const auto snap = registry.snapshot();
+    if (!live && every != 0 && batches % every == 0) {
+      const auto snap = session.registry.snapshot();
       std::fprintf(stderr,
                    "telemetry[batch %zu]: served %zu queries; batch p99"
                    " %.1f us; cache %.0f hits, %.0f misses\n",
@@ -755,173 +822,101 @@ int cmd_serve(int argc, char** argv, const char* path) {
                    snapshot_value(snap, "cache.hits"),
                    snapshot_value(snap, "cache.misses"));
     }
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const auto stats = cache.stats();
-  std::fprintf(stderr,
-               "served %zu queries in %.3f s (%.0f queries/s); snapshot cache:"
-               " %llu hits, %llu misses, %llu evictions; kernels: %s\n",
-               served, seconds, seconds > 0.0 ? served / seconds : 0.0,
-               static_cast<unsigned long long>(stats.hits),
-               static_cast<unsigned long long>(stats.misses),
-               static_cast<unsigned long long>(stats.evictions),
-               core::simd::level_name(core::simd::active_level()));
-  return export_telemetry(registry, telemetry);
-}
-
-// The live serve/ingest loop: queries queue until the next ingest line,
-// which flushes them and advances the tip.
-int run_live_session(LiveTimeline& live, LiveReplay& replay,
-                     const std::vector<serve::WorkloadStep>& steps,
-                     serve::SnapshotCache& cache, std::size_t batch_size,
-                     const TelemetryOptions& telemetry) {
-  serve::QueryEngine engine(cache);
-
-  obs::Registry registry;
-  cache.register_metrics(registry, "cache");
-  live.register_metrics(registry, "live");
-  engine.register_metrics(registry, "serve");
-  register_simd_metrics(registry);
-
-  std::size_t served = 0, ingested_events = 0, ingest_steps = 0;
-  double query_seconds = 0.0, ingest_seconds = 0.0;
-  std::vector<serve::Query> queued;
-  const auto flush_queries = [&]() -> bool {
-    std::size_t done = 0;
-    const auto begin = std::chrono::steady_clock::now();
-    while (done < queued.size()) {
-      const std::size_t count = std::min(batch_size, queued.size() - done);
-      const auto results = engine.run_batch(
-          std::span<const serve::Query>(queued.data() + done, count));
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        std::printf("%s\n", results[i].to_line(queued[done + i]).c_str());
-      }
-      done += count;
-    }
-    query_seconds += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - begin)
-                         .count();
-    served += queued.size();
-    queued.clear();
-    return flush_stdout();
   };
 
+  std::string error;
   for (const auto& step : steps) {
     if (!step.ingest) {
       queued.push_back(step.query);
-      continue;
+      if (queued.size() < session.options.batch_size) continue;
     }
-    if (!flush_queries()) return broken_stdout();
-    IngestBatch batch = replay.batch_until(step.tip);
-    ingested_events += batch.social_nodes.size() +
-                       batch.social_links.size() +
-                       batch.attribute_links.size();
-    const auto begin = std::chrono::steady_clock::now();
-    live.ingest(batch);
-    ingest_seconds += std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - begin)
-                          .count();
-    ++ingest_steps;
-    if (telemetry.stats_every != 0 &&
-        ingest_steps % telemetry.stats_every == 0) {
-      const auto snap = registry.snapshot();
+    run_queued();
+    if (!step.ingest) continue;
+    if (!session.ingest(step.tip, error)) throw std::runtime_error(error);
+    ++ingests;
+    if (every != 0 && ingests % every == 0) {
+      const auto snap = session.registry.snapshot();
       std::fprintf(stderr,
                    "telemetry[batch %zu]: tip %.2f, %.0f epochs;"
                    " ingest_to_publish p99 %.1f us; cache %.0f hits,"
                    " %.0f misses\n",
-                   ingest_steps, live.tip_time(),
+                   ingests, live->tip_time(),
                    snapshot_value(snap, "live.epochs"),
                    snapshot_value(snap, "live.ingest_to_publish.p99_us"),
                    snapshot_value(snap, "cache.hits"),
                    snapshot_value(snap, "cache.misses"));
     }
   }
-  if (!flush_queries()) return broken_stdout();
-  live.publish();
+  run_queued();
 
-  const auto live_stats = live.stats();
-  const auto cache_stats = cache.stats();
+  const auto cache_stats = session.cache.stats();
+  const char* kernels = core::simd::level_name(core::simd::active_level());
+  const double qps = query_seconds > 0.0 ? served / query_seconds : 0.0;
+  if (!live) {
+    std::fprintf(stderr,
+                 "served %zu queries in %.3f s (%.0f queries/s); snapshot"
+                 " cache: %llu hits, %llu misses, %llu evictions; kernels:"
+                 " %s\n",
+                 served, query_seconds, qps,
+                 static_cast<unsigned long long>(cache_stats.hits),
+                 static_cast<unsigned long long>(cache_stats.misses),
+                 static_cast<unsigned long long>(cache_stats.evictions),
+                 kernels);
+    return session.export_telemetry();
+  }
+  live->publish();
+  const auto live_stats = live->stats();
+  const double ingest_seconds = session.ingest_seconds;
   std::fprintf(
       stderr,
       "served %zu queries in %.3f s (%.0f queries/s); ingested %zu events"
       " over %zu batches in %.3f s (%.0f events/s)\n",
-      served, query_seconds,
-      query_seconds > 0.0 ? served / query_seconds : 0.0, ingested_events,
-      ingest_steps, ingest_seconds,
-      ingest_seconds > 0.0 ? ingested_events / ingest_seconds : 0.0);
+      served, query_seconds, qps, session.ingested_events, ingests,
+      ingest_seconds,
+      ingest_seconds > 0.0 ? session.ingested_events / ingest_seconds : 0.0);
   std::fprintf(
       stderr,
       "live tip %.2f after %llu epochs (%llu activated, %llu pending,"
       " %llu late batches); cache: %llu hits, %llu misses, %llu live hits;"
       " kernels: %s\n",
-      live.tip_time(), static_cast<unsigned long long>(live_stats.epochs),
+      live->tip_time(), static_cast<unsigned long long>(live_stats.epochs),
       static_cast<unsigned long long>(live_stats.activated_links),
       static_cast<unsigned long long>(live_stats.pending_links),
       static_cast<unsigned long long>(live_stats.late_batches),
       static_cast<unsigned long long>(cache_stats.hits),
       static_cast<unsigned long long>(cache_stats.misses),
-      static_cast<unsigned long long>(cache_stats.live_hits),
-      core::simd::level_name(core::simd::active_level()));
-  return export_telemetry(registry, telemetry);
-}
-
-int cmd_live(int argc, char** argv, const char* path) {
-  const char* workload_path = flag_value(argc, argv, "--workload", nullptr);
-  if (workload_path == nullptr) {
-    return complain("%s requires --workload FILE", "live");
-  }
-  std::size_t cache_size = 0, batch_size = 0, publish_every = 0;
-  double start = 0.0;
-  const char* cache_text = flag_value(argc, argv, "--cache", "8");
-  const char* batch_text = flag_value(argc, argv, "--batch", "1024");
-  const char* publish_text = flag_value(argc, argv, "--publish-every", "1");
-  const char* start_text = flag_value(argc, argv, "--start", "0");
-  if (!parse_size(cache_text, cache_size) || cache_size == 0) {
-    return complain("invalid --cache '%s' (need an integer > 0)", cache_text);
-  }
-  if (!parse_size(batch_text, batch_size) || batch_size == 0) {
-    return complain("invalid --batch '%s' (need an integer > 0)", batch_text);
-  }
-  if (!parse_size(publish_text, publish_every) || publish_every == 0) {
-    return complain("invalid --publish-every '%s' (need an integer > 0)",
-                    publish_text);
-  }
-  if (!parse_double(start_text, start) || start < 0.0) {
-    return complain("invalid --start '%s' (need a day >= 0)", start_text);
-  }
-  TelemetryOptions telemetry;
-  if (const int rc = parse_telemetry(argc, argv, telemetry); rc >= 0) {
-    return rc;
-  }
-
-  const auto net = load_san(path);
-  const auto steps = serve::load_live_workload(workload_path);
-
-  // The seed/future split and per-tip batching live in san::LiveReplay —
-  // the exact driver the live oracle test and bench_live_ingest gate.
-  LiveReplay replay(net, start);
-  const SanTimeline frozen(replay.seed);
-  serve::SnapshotCache cache(frozen, cache_size);
-  LiveTimelineOptions live_options;
-  live_options.batches_per_epoch = publish_every;
-  live_options.initial_tip = start;  // attr catalog times may lie ahead
-  LiveTimeline live(replay.seed, live_options);
-  cache.bind_live(live, start);
-  return run_live_session(live, replay, steps, cache, batch_size, telemetry);
+      static_cast<unsigned long long>(cache_stats.live_hits), kernels);
+  return session.export_telemetry();
 }
 
 /// The running server, for the SIGTERM/SIGINT handler. request_drain()
 /// is async-signal-safe (one eventfd write), so the handler body is too.
 serve::Server* g_server = nullptr;
 
-/// Shared tail of `listen`: install the drain signal handlers, announce
-/// the bound port (the first stderr line, so harnesses can scrape it),
-/// run the event loop until a drain completes, print final stats.
-int run_server(serve::Server& server, obs::Registry& registry,
-               const TelemetryOptions& telemetry) {
+int cmd_listen(const Flags& flags, const char* path) {
+  serve::ServerOptions server_options;
+  server_options.port =
+      static_cast<std::uint16_t>(flags.integer("--port", 0, 0, 65535));
+  server_options.max_delay_us =
+      flags.integer("--max-delay-us", server_options.max_delay_us);
+  server_options.max_line_bytes =
+      flags.integer("--max-line-bytes", server_options.max_line_bytes, 1);
+  server_options.max_outbound_bytes = flags.integer(
+      "--max-outbound-bytes", server_options.max_outbound_bytes, 1);
+  server_options.drain_timeout_ms =
+      flags.integer("--drain-timeout-ms", server_options.drain_timeout_ms);
+  server_options.sndbuf_bytes =
+      static_cast<int>(flags.integer("--sndbuf", 0, 0, 0x7fffffff));
+  Session session(path, read_session_options(flags, false));
+  server_options.batch_size = session.options.batch_size;
+  serve::Server server(session.engine, server_options);
+  server.register_metrics(session.registry, "server");
+  // The server runs a connection's pending queries before calling this,
+  // so the batch lands between the same neighbours as in file replay.
+  server.set_ingest_handler([&session](double tip, std::string& error) {
+    return session.ingest(tip, error);
+  });
+
   g_server = &server;
   struct sigaction action {};
   action.sa_handler = [](int) {
@@ -931,6 +926,7 @@ int run_server(serve::Server& server, obs::Registry& registry,
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
 
+  // The first stderr line, so harnesses can scrape the bound port.
   std::fprintf(stderr, "listening on 127.0.0.1:%u\n",
                static_cast<unsigned>(server.port()));
   std::fflush(stderr);
@@ -953,191 +949,36 @@ int run_server(serve::Server& server, obs::Registry& registry,
       static_cast<unsigned long long>(stats.backpressure),
       static_cast<unsigned long long>(stats.dropped_responses),
       core::simd::level_name(core::simd::active_level()));
-  return export_telemetry(registry, telemetry);
+  return session.export_telemetry();
 }
 
-// The live-bound server session: `ingest` lines from any connection run
-// through the same LiveReplay + LiveTimeline steps as file replay.
-int run_listen_live(LiveTimeline& live, LiveReplay& replay,
-                    serve::SnapshotCache& cache,
-                    const serve::ServerOptions& options,
-                    const TelemetryOptions& telemetry) {
-  serve::QueryEngine engine(cache);
-  obs::Registry registry;
-  cache.register_metrics(registry, "cache");
-  live.register_metrics(registry, "live");
-  engine.register_metrics(registry, "serve");
-  register_simd_metrics(registry);
-
-  serve::Server server(engine, options);
-  server.register_metrics(registry, "server");
-  server.set_ingest_handler([&](double tip, std::string& error) {
-    // Same order as file replay: the server flushed pending queries
-    // before calling us, so this batch lands between the same neighbors.
-    try {
-      IngestBatch batch = replay.batch_until(tip);
-      live.ingest(batch);
-      return true;
-    } catch (const std::exception& e) {
-      // A bad tip (e.g. not strictly advancing) rejects the line, and
-      // only the line: validate-before-mutate keeps the timeline usable.
-      error = e.what();
-      return false;
-    }
-  });
-  return run_server(server, registry, telemetry);
-}
-
-int cmd_listen(int argc, char** argv, const char* path) {
-  std::size_t cache_size = 0, batch_size = 0, publish_every = 0;
-  std::size_t max_line = 0, max_outbound = 0;
-  std::uint64_t port = 0, max_delay_us = 0, drain_timeout_ms = 0, sndbuf = 0;
-  const char* port_text = flag_value(argc, argv, "--port", "0");
-  const char* cache_text = flag_value(argc, argv, "--cache", "8");
-  const char* batch_text = flag_value(argc, argv, "--batch", "1024");
-  const char* delay_text = flag_value(argc, argv, "--max-delay-us", "1000");
-  const char* publish_text = flag_value(argc, argv, "--publish-every", "1");
-  const char* start_text = flag_value(argc, argv, "--start", nullptr);
-  const char* line_text = flag_value(argc, argv, "--max-line-bytes", "65536");
-  const char* outbound_text =
-      flag_value(argc, argv, "--max-outbound-bytes", "1048576");
-  const char* drain_text =
-      flag_value(argc, argv, "--drain-timeout-ms", "5000");
-  const char* sndbuf_text = flag_value(argc, argv, "--sndbuf", "0");
-  if (!parse_u64(port_text, port) || port > 65535) {
-    return complain("invalid --port '%s' (need 0..65535)", port_text);
-  }
-  if (!parse_size(cache_text, cache_size) || cache_size == 0) {
-    return complain("invalid --cache '%s' (need an integer > 0)", cache_text);
-  }
-  if (!parse_size(batch_text, batch_size) || batch_size == 0) {
-    return complain("invalid --batch '%s' (need an integer > 0)", batch_text);
-  }
-  if (!parse_u64(delay_text, max_delay_us)) {
-    return complain("invalid --max-delay-us '%s'", delay_text);
-  }
-  if (!parse_size(publish_text, publish_every) || publish_every == 0) {
-    return complain("invalid --publish-every '%s' (need an integer > 0)",
-                    publish_text);
-  }
-  if (!parse_size(line_text, max_line) || max_line == 0) {
-    return complain("invalid --max-line-bytes '%s' (need an integer > 0)",
-                    line_text);
-  }
-  if (!parse_size(outbound_text, max_outbound) || max_outbound == 0) {
-    return complain("invalid --max-outbound-bytes '%s' (need an integer"
-                    " > 0)",
-                    outbound_text);
-  }
-  if (!parse_u64(drain_text, drain_timeout_ms)) {
-    return complain("invalid --drain-timeout-ms '%s'", drain_text);
-  }
-  if (!parse_u64(sndbuf_text, sndbuf) || sndbuf > 0x7fffffffULL) {
-    return complain("invalid --sndbuf '%s'", sndbuf_text);
-  }
-  double start = 0.0;
-  if (start_text != nullptr && (!parse_double(start_text, start) ||
-                                start < 0.0)) {
-    return complain("invalid --start '%s' (need a day >= 0)", start_text);
-  }
-  TelemetryOptions telemetry;
-  if (const int rc = parse_telemetry(argc, argv, telemetry); rc >= 0) {
-    return rc;
-  }
-
-  serve::ServerOptions options;
-  options.port = static_cast<std::uint16_t>(port);
-  options.batch_size = batch_size;
-  options.max_delay_us = max_delay_us;
-  options.max_line_bytes = max_line;
-  options.max_outbound_bytes = max_outbound;
-  options.drain_timeout_ms = drain_timeout_ms;
-  options.sndbuf_bytes = static_cast<int>(sndbuf);
-
-  const auto net = load_san(path);
-  if (start_text == nullptr) {
-    // Static binding: the complete network, exactly `serve`'s engine
-    // setup — the socket response stream is byte-identical to it.
-    const SanTimeline timeline(net);
-    serve::SnapshotCache cache(timeline, cache_size);
-    serve::QueryEngine engine(cache);
-    obs::Registry registry;
-    cache.register_metrics(registry, "cache");
-    engine.register_metrics(registry, "serve");
-    register_simd_metrics(registry);
-    serve::Server server(engine, options);
-    server.register_metrics(registry, "server");
-    server.set_ingest_handler([](double, std::string& error) {
-      error = "ingest lines need a live binding (listen --start D)";
-      return false;
-    });
-    return run_server(server, registry, telemetry);
-  }
-
-  LiveReplay replay(net, start);
-  const SanTimeline frozen(replay.seed);
-  serve::SnapshotCache cache(frozen, cache_size);
-  LiveTimelineOptions live_options;
-  live_options.batches_per_epoch = publish_every;
-  live_options.initial_tip = start;  // attr catalog times may lie ahead
-  LiveTimeline live(replay.seed, live_options);
-  cache.bind_live(live, start);
-  return run_listen_live(live, replay, cache, options, telemetry);
-}
-
-int cmd_genload(int argc, char** argv) {
+int cmd_genload(const Flags& flags) {
   serve::GenloadOptions options;
-  const char* queries_text = flag_value(argc, argv, "--queries", "1000");
-  const char* nodes_text = flag_value(argc, argv, "--nodes", "20000");
-  const char* seed_text = flag_value(argc, argv, "--seed", "42");
-  const char* zipf_text = flag_value(argc, argv, "--zipf", "0.8");
-  const char* horizon_text = flag_value(argc, argv, "--horizon", "98");
-  const char* now_text = flag_value(argc, argv, "--now", "0.1");
-  const char* ingest_text = flag_value(argc, argv, "--ingest", "0");
-  const char* mix_text = flag_value(argc, argv, "--mix", nullptr);
-  const char* arrival_text = flag_value(argc, argv, "--arrival", "diurnal");
-  if (!parse_size(queries_text, options.queries)) {
-    return complain("invalid --queries '%s'", queries_text);
-  }
-  if (!parse_size(nodes_text, options.nodes) || options.nodes == 0) {
-    return complain("invalid --nodes '%s' (need an integer > 0)", nodes_text);
-  }
-  if (!parse_u64(seed_text, options.seed)) {
-    return complain("invalid --seed '%s'", seed_text);
-  }
-  if (!parse_double(zipf_text, options.zipf) || !(options.zipf >= 0.0)) {
-    return complain("invalid --zipf '%s' (need a number >= 0)", zipf_text);
-  }
-  if (!parse_double(horizon_text, options.horizon) ||
-      !(options.horizon > 0.0)) {
-    return complain("invalid --horizon '%s' (need a number > 0)",
-                    horizon_text);
-  }
-  if (!parse_double(now_text, options.now_fraction) ||
-      !(options.now_fraction >= 0.0 && options.now_fraction <= 1.0)) {
-    return complain("invalid --now '%s' (need a fraction in [0, 1])",
-                    now_text);
-  }
-  if (!parse_double(ingest_text, options.ingest_fraction) ||
-      !(options.ingest_fraction >= 0.0 && options.ingest_fraction <= 1.0)) {
-    return complain("invalid --ingest '%s' (need a fraction in [0, 1])",
-                    ingest_text);
-  }
+  options.queries = flags.integer("--queries", options.queries);
+  options.nodes = flags.integer("--nodes", options.nodes, 1);
+  options.seed = flags.integer("--seed", options.seed);
+  options.zipf = flags.number("--zipf", options.zipf, 0.0);
+  options.horizon =
+      flags.number("--horizon", options.horizon, 0.0, kInf, /*above=*/true);
+  options.now_fraction = flags.number("--now", options.now_fraction, 0.0, 1.0);
+  options.ingest_fraction =
+      flags.number("--ingest", options.ingest_fraction, 0.0, 1.0);
+  const char* mix_text = flags.text("--mix");
   if (mix_text != nullptr && !serve::parse_mix(mix_text, options.mix)) {
-    return complain("invalid --mix '%s' (need kind:weight,... over known"
-                    " kinds, weights >= 0, not all zero)",
-                    mix_text);
+    usage_error("invalid --mix '%s' (need kind:weight,... over known kinds,"
+                " weights >= 0, not all zero)",
+                mix_text);
   }
+  const char* arrival_text = flags.text("--arrival", "diurnal");
   if (!serve::parse_arrival(arrival_text, options.arrival)) {
-    return complain("invalid --arrival '%s' (need uniform|diurnal|bursty)",
-                    arrival_text);
+    usage_error("invalid --arrival '%s' (need uniform|diurnal|bursty)",
+                arrival_text);
   }
-  const char* out = flag_value(argc, argv, "-o", nullptr);
-  if (out == nullptr) return complain("%s requires -o FILE", "genload");
+  const char* out = flags.required("-o");
 
   const std::string text = serve::generate_workload(options);
   std::FILE* file = std::fopen(out, "w");
-  if (file == nullptr) return complain("unwritable output path '%s'", out);
+  if (file == nullptr) usage_error("unwritable output path '%s'", out);
   const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
   const bool flushed = std::fclose(file) == 0;
   if (written != text.size() || !flushed) {
@@ -1166,42 +1007,46 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
-    return cmd_help(argc >= 3 ? argv[2] : "");
-  }
-  const SubcommandDoc* doc = find_subcommand(command);
-  if (doc == nullptr) return complain("unknown command '%s'", command.c_str());
-  if (wants_help(argc, argv)) return cmd_help(command);
-  // An unparseable SAN_SIMD is the same guard family as a bad flag value:
-  // refuse up front instead of silently running on the detected level.
-  if (const char* bad = core::simd::env_error()) {
-    return complain("invalid SAN_SIMD '%s' (need scalar|sse|avx2)", bad);
-  }
-  // A subcommand takes a positional FILE exactly when its synopsis says so.
-  const std::string file_usage = "san_tool " + command + " FILE";
-  const bool takes_file =
-      std::string_view(doc->synopsis).starts_with(file_usage);
-  if (takes_file && (argc < 3 || argv[2][0] == '-')) {
-    return complain("%s requires a positional FILE argument", doc->name);
-  }
-  const int first_flag = takes_file ? 3 : 2;
-  if (const int rc = check_flags(*doc, argc, argv, first_flag); rc >= 0) {
-    return rc;
-  }
-  const char* path = takes_file ? argv[2] : nullptr;
   try {
-    if (command == "generate") return cmd_generate(argc, argv);
-    if (command == "measure") return cmd_measure(argc, argv, path);
-    if (command == "snapshots") return cmd_snapshots(argc, argv, path);
-    if (command == "crawl") return cmd_crawl(argc, argv, path);
-    if (command == "communities") return cmd_communities(argc, argv, path);
-    if (command == "serve") return cmd_serve(argc, argv, path);
-    if (command == "live") return cmd_live(argc, argv, path);
-    if (command == "listen") return cmd_listen(argc, argv, path);
-    if (command == "genload") return cmd_genload(argc, argv);
+    if (command == "help" || command == "--help" || command == "-h") {
+      return cmd_help(argc >= 3 ? argv[2] : "");
+    }
+    const SubcommandDoc* doc = find_subcommand(command);
+    if (doc == nullptr) usage_error("unknown command '%s'", command.c_str());
+    // --help/-h anywhere after the subcommand.
+    if (std::any_of(argv + 2, argv + argc, [](std::string_view arg) {
+          return arg == "--help" || arg == "-h";
+        })) {
+      return cmd_help(command);
+    }
+    // An unparseable SAN_SIMD is as bad as a bad flag value: refuse it up
+    // front instead of silently running on the detected level.
+    if (const char* bad = core::simd::env_error()) {
+      usage_error("invalid SAN_SIMD '%s' (need scalar|sse|avx2)", bad);
+    }
+    // A subcommand takes a positional FILE exactly when its synopsis says so.
+    const std::string file_usage = "san_tool " + command + " FILE";
+    const bool takes_file =
+        std::string_view(doc->synopsis).starts_with(file_usage);
+    if (takes_file && (argc < 3 || argv[2][0] == '-')) {
+      usage_error("%s requires a positional FILE argument", doc->name);
+    }
+    const char* path = takes_file ? argv[2] : nullptr;
+    const Flags flags(*doc, argc, argv, takes_file ? 3 : 2);
+    if (command == "generate") return cmd_generate(flags);
+    if (command == "measure") return cmd_measure(flags, path);
+    if (command == "snapshots") return cmd_snapshots(flags, path);
+    if (command == "crawl") return cmd_crawl(flags, path);
+    if (command == "communities") return cmd_communities(flags, path);
+    if (command == "serve") return cmd_replay(flags, path, false);
+    if (command == "live") return cmd_replay(flags, path, true);
+    if (command == "listen") return cmd_listen(flags, path);
+    return cmd_genload(flags);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return complain("unknown command '%s'", command.c_str());
 }

@@ -254,6 +254,20 @@ def test_strict_flags(tmp):
     expect("generate trailing -o -> exit 2",
            run("generate", "--kind", "gplus", "-o"), 2, ["-o needs a value"])
 
+    # A repeated flag is refused, not resolved to its first value.
+    expect("generate repeated --nodes -> exit 2",
+           run("generate", "--nodes", "50", "--nodes", "300", "-o",
+               os.path.join(tmp, "twice.san")), 2,
+           ["--nodes given twice", "usage:"])
+    check("generate repeated --nodes wrote nothing",
+          not os.path.exists(os.path.join(tmp, "twice.san")))
+    expect("live repeated --start -> exit 2",
+           run(*live, "--start", "10", "--cache", "4", "--start", "20"), 2,
+           ["--start given twice"])
+    expect("listen repeated --port -> exit 2",
+           run("listen", san, "--port", "0", "--port", "0", timeout=30), 2,
+           ["--port given twice"])
+
 
 def test_genload_usage_errors():
     expect("genload without -o -> exit 2", run("genload"), 2,
@@ -546,6 +560,52 @@ def test_listen_drain(tmp):
     check("drain: final stats line printed", "drained:" in stderr, stderr)
 
 
+def test_listen_stats_json(tmp):
+    """listen --stats-json after a SIGTERM drain: the static binding
+    writes the cache/serve/server/simd schema and no live keys; --start 0
+    adds the live ingest keys."""
+    san = os.path.join(tmp, "lstats.san")
+    expect("listen stats: generate net -> exit 0",
+           run("generate", "--kind", "gplus", "--nodes", "900", "--seed",
+               "4", "-o", san), 0, ["wrote"])
+    common = ["cache.hits", "cache.misses", "serve.batch.p99_us",
+              "serve.query.ego.count", "server.accepted", "server.queries",
+              "server.turnaround.p50_us", "simd.active_level"]
+    live_keys = ["live.epochs", "live.absorb.p50_us"]
+    for name, extra, payload, required in (
+            ("static", [], b"ego 50 3\nlinkrec now 3 5\n", common),
+            ("--start 0", ["--start", "0"],
+             b"ego 10 3\ningest 55\nego now 3\n", common + live_keys)):
+        stats_path = os.path.join(tmp, f"listen_stats_{len(extra)}.json")
+        with listen_server(san, "--stats-json", stats_path,
+                           *extra) as (proc, port):
+            check(f"listen stats ({name}): starts", port is not None)
+            if port is None:
+                continue
+            got = sock_exchange(port, payload).decode()
+            check(f"listen stats ({name}): answered",
+                  got.count("\n") == 2 and "ERR" not in got, repr(got))
+        check(f"listen stats ({name}): exit 0 after SIGTERM",
+              proc.returncode == 0, f"exit={proc.returncode}")
+        try:
+            with open(stats_path, encoding="utf-8") as f:
+                stats = json.load(f)
+        except (OSError, ValueError) as error:
+            check(f"listen stats ({name}): JSON parses", False, str(error))
+            continue
+        missing = [key for key in required if key not in stats]
+        check(f"listen stats ({name}): documented keys", not missing,
+              f"missing {missing}")
+        check(f"listen stats ({name}): values are numbers",
+              all(isinstance(v, (int, float)) for v in stats.values()))
+        if not extra:
+            check("listen stats (static): no live keys",
+                  not any(key.startswith("live.") for key in stats))
+        elif not missing:
+            check("listen stats (--start 0): ingest published an epoch",
+                  stats["live.epochs"] >= 2, str(stats["live.epochs"]))
+
+
 def test_export_write_failures(tmp):
     """Satellite checks: full-disk exports and a closed stdout pipe are
     exit-1 failures that name the sink, never silent truncation."""
@@ -694,6 +754,7 @@ def main():
         test_listen_byte_identity(tmp)
         test_listen_protocol_edges(tmp)
         test_listen_drain(tmp)
+        test_listen_stats_json(tmp)
         test_export_write_failures(tmp)
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract checks failed", file=sys.stderr)
