@@ -20,7 +20,17 @@ CommunityResult detect_communities(const SanSnapshot& snap,
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
 
-  std::unordered_map<std::uint32_t, double> votes;
+  // Dense per-label vote tally (labels stay in [0, n): they start as node
+  // ids and only ever copy a neighbour's label) plus the labels touched by
+  // the current node, reset after each node. Each label's weights are
+  // summed in visit order, and the winner — highest vote, ties to the
+  // smallest label — does not depend on the order labels are scanned.
+  std::vector<double> votes(n, 0.0);
+  std::vector<std::uint32_t> touched;
+  const auto vote = [&](std::uint32_t label, double weight) {
+    if (votes[label] == 0.0) touched.push_back(label);
+    votes[label] += weight;
+  };
   bool changed = true;
   for (int iter = 0; iter < options.max_iterations && changed; ++iter) {
     result.iterations = iter + 1;
@@ -30,9 +40,8 @@ CommunityResult detect_communities(const SanSnapshot& snap,
       std::swap(order[i - 1], order[rng.uniform_index(i)]);
     }
     for (const NodeId u : order) {
-      votes.clear();
       for (const NodeId v : snap.social.neighbors(u)) {
-        votes[result.label[v]] += 1.0;
+        vote(result.label[v], 1.0);
       }
       if (options.attribute_weight > 0.0) {
         for (const AttrId x : snap.attributes_of(u)) {
@@ -41,21 +50,24 @@ CommunityResult detect_communities(const SanSnapshot& snap,
           const double w =
               options.attribute_weight / static_cast<double>(members.size());
           for (const NodeId v : members) {
-            if (v != u) votes[result.label[v]] += w;
+            if (v != u) vote(result.label[v], w);
           }
         }
       }
-      if (votes.empty()) continue;
+      if (touched.empty()) continue;
       // Highest vote; break ties by smallest label for determinism.
       std::uint32_t best = result.label[u];
       double best_votes = -1.0;
-      for (const auto& [label, weight] : votes) {
+      for (const std::uint32_t label : touched) {
+        const double weight = votes[label];
+        votes[label] = 0.0;
         if (weight > best_votes ||
             (weight == best_votes && label < best)) {
           best = label;
           best_votes = weight;
         }
       }
+      touched.clear();
       if (best != result.label[u]) {
         result.label[u] = best;
         changed = true;
@@ -63,14 +75,15 @@ CommunityResult detect_communities(const SanSnapshot& snap,
     }
   }
 
-  // Compact labels to dense ids.
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
+  // Compact labels to dense ids in first-appearance order.
+  constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+  std::vector<std::uint32_t> remap(n, kUnmapped);
+  std::uint32_t next = 0;
   for (auto& label : result.label) {
-    const auto [it, inserted] =
-        remap.emplace(label, static_cast<std::uint32_t>(remap.size()));
-    label = it->second;
+    if (remap[label] == kUnmapped) remap[label] = next++;
+    label = remap[label];
   }
-  result.community_count = remap.size();
+  result.community_count = next;
   return result;
 }
 

@@ -1,8 +1,6 @@
 #include "apps/projection.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace san::apps {
@@ -15,34 +13,46 @@ graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
   using graph::NodeId;
   const std::size_t n = social.node_count();
 
-  // Collect canonical undirected links (u < v), deduplicating reciprocal
-  // directed pairs.
-  std::vector<std::pair<NodeId, NodeId>> undirected;
-  undirected.reserve(social.edge_count());
+  // Admission: neighbors(u) is the sorted, deduplicated, loop-free union of
+  // u's in- and out-neighbours, so walking it for ascending u and keeping
+  // v > u visits each canonical undirected link (u, v) exactly once, in
+  // ascending (u, v) order. Admitted partners are recorded per u.
+  std::vector<std::uint32_t> degree(n, 0);
+  std::vector<std::uint64_t> admitted_start(n + 1, 0);
+  std::vector<NodeId> admitted;
   for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : social.out(u)) {
-      if (u < v) {
-        undirected.emplace_back(u, v);
-      } else if (!social.has_edge(v, u)) {
-        undirected.emplace_back(v, u);  // only from this direction
-      }
+    admitted_start[u] = admitted.size();
+    for (const NodeId v : social.neighbors(u)) {
+      if (v <= u) continue;
+      if (degree[u] >= degree_bound || degree[v] >= degree_bound) continue;
+      ++degree[u];
+      ++degree[v];
+      admitted.push_back(v);
     }
   }
-  std::sort(undirected.begin(), undirected.end());
-  undirected.erase(std::unique(undirected.begin(), undirected.end()),
-                   undirected.end());
+  admitted_start[n] = admitted.size();
 
-  std::vector<std::size_t> degree(n, 0);
-  std::vector<std::pair<NodeId, NodeId>> kept;
-  kept.reserve(2 * undirected.size());
-  for (const auto& [u, v] : undirected) {
-    if (degree[u] >= degree_bound || degree[v] >= degree_bound) continue;
-    ++degree[u];
-    ++degree[v];
-    kept.emplace_back(u, v);
-    kept.emplace_back(v, u);
+  // Symmetric fill in admission order. Node x receives its partners w < x
+  // while w is processed (ascending w), then its own partners v > x in
+  // ascending order, so every list comes out sorted with no comparison
+  // sort.
+  std::vector<std::uint64_t> offsets(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] = offsets[u] + degree[u];
+  std::vector<NodeId> targets(offsets[n]);
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::uint64_t i = admitted_start[u]; i < admitted_start[u + 1]; ++i) {
+      const NodeId v = admitted[i];
+      targets[cursor[u]++] = v;
+      targets[cursor[v]++] = u;
+    }
   }
-  return graph::CsrGraph::from_edges(n, kept);
+
+  std::vector<std::uint64_t> in_offsets = offsets;
+  std::vector<NodeId> in_targets = targets;
+  graph::CsrGraph topology;
+  topology.adopt_sorted_adjacency(n, offsets, targets, in_offsets, in_targets);
+  return topology;
 }
 
 }  // namespace san::apps

@@ -15,7 +15,10 @@ namespace san::apps {
 /// Symmetric graph containing each undirected link {u, v} (in both
 /// directions) for which neither endpoint has exhausted `degree_bound`.
 /// Links are admitted in ascending (u, v) order, mirroring a deterministic
-/// truncation of oversized adjacency lists.
+/// truncation of oversized adjacency lists: admission walks the undirected
+/// neighbour view `social.neighbors(u)` for ascending u, keeping v > u, and
+/// the kept lists are filled already sorted — O(nodes + links), no
+/// comparison sort.
 graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
                                           std::size_t degree_bound);
 

@@ -94,6 +94,7 @@ std::shared_ptr<const T> DerivedCache::resolve(
 std::shared_ptr<const apps::SybilLimit> DerivedCache::sybil(
     const Handle& snap, const apps::SybilLimitOptions& options) {
   return resolve<apps::SybilLimit>(&Cell::sybil, snap, [&] {
+    obs::ScopedTimer timer(sybil_build_ns_.get());
     return std::make_shared<const apps::SybilLimit>(snap->social, options);
   });
 }
@@ -101,6 +102,7 @@ std::shared_ptr<const apps::SybilLimit> DerivedCache::sybil(
 std::shared_ptr<const CommunityState> DerivedCache::community(
     const Handle& snap, const apps::CommunityOptions& options) {
   return resolve<CommunityState>(&Cell::community, snap, [&] {
+    obs::ScopedTimer timer(community_build_ns_.get());
     auto state = std::make_shared<CommunityState>();
     state->result = apps::detect_communities(*snap, options);
     state->size.assign(state->result.community_count, 0);
@@ -114,6 +116,7 @@ std::shared_ptr<const CommunityState> DerivedCache::community(
 std::shared_ptr<const InfluenceState> DerivedCache::influence(
     const Handle& snap) {
   return resolve<InfluenceState>(&Cell::influence, snap, [&] {
+    obs::ScopedTimer timer(influence_build_ns_.get());
     auto state = std::make_shared<InfluenceState>();
     state->first_pick = apps::best_first_pick(snap->social);
     return std::shared_ptr<const InfluenceState>(std::move(state));
@@ -142,12 +145,20 @@ std::size_t DerivedCache::size() const {
 void DerivedCache::reset_stats() {
   hits_->reset();
   misses_->reset();
+  sybil_build_ns_->reset();
+  community_build_ns_->reset();
+  influence_build_ns_->reset();
 }
 
 void DerivedCache::register_metrics(obs::Registry& registry,
                                     const std::string& prefix) const {
   registry.attach_counter(prefix + ".derived_hits", hits_);
   registry.attach_counter(prefix + ".derived_misses", misses_);
+  registry.attach_histogram(prefix + ".derived_build.sybil", sybil_build_ns_);
+  registry.attach_histogram(prefix + ".derived_build.community",
+                            community_build_ns_);
+  registry.attach_histogram(prefix + ".derived_build.influence",
+                            influence_build_ns_);
 }
 
 }  // namespace san::serve

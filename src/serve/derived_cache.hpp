@@ -101,7 +101,10 @@ class DerivedCache {
   std::uint64_t misses() const { return misses_->value(); }
   void reset_stats();
 
-  /// Attach `<prefix>.derived_hits` / `<prefix>.derived_misses`.
+  /// Attach `<prefix>.derived_hits` / `<prefix>.derived_misses` and the
+  /// per-kind build latency histograms `<prefix>.derived_build.{sybil,
+  /// community,influence}` (recorded only while obs::timing_enabled(), for
+  /// every build, including a pool lane's private copy).
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 
@@ -126,6 +129,12 @@ class DerivedCache {
   const std::size_t capacity_;
   std::shared_ptr<obs::Counter> hits_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> misses_ = std::make_shared<obs::Counter>();
+  std::shared_ptr<obs::Histogram> sybil_build_ns_ =
+      std::make_shared<obs::Histogram>();
+  std::shared_ptr<obs::Histogram> community_build_ns_ =
+      std::make_shared<obs::Histogram>();
+  std::shared_ptr<obs::Histogram> influence_build_ns_ =
+      std::make_shared<obs::Histogram>();
   mutable std::mutex mutex_;
   std::list<Cell> lru_;  // front = most recently used
   std::unordered_map<const SanSnapshot*, std::list<Cell>::iterator> index_;

@@ -36,6 +36,7 @@
 // help` drifts from the subcommand table documented in README.md.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
@@ -113,7 +114,9 @@ constexpr SubcommandDoc kSubcommands[] = {
      "crawls) through san::SanTimeline — index once, then advance each\n"
      "snapshot incrementally — and prints one growth row per day.\n"
      "\n"
-     "  --step D   day stride between snapshots, > 0 (default: 1)\n"},
+     "  --step D   day stride between snapshots, > 0 (default: 1); a\n"
+     "             grid of more days than the file has distinct event\n"
+     "             times (+1) only repeats rows and is refused\n"},
     {"crawl",
      "san_tool crawl FILE --day D [--private P] -o FILE",
      "simulate the paper's BFS crawl of a ground-truth SAN",
@@ -572,10 +575,36 @@ int cmd_measure(const Flags& flags, const char* path) {
   return 0;
 }
 
+/// Number of distinct timestamps over every node and link of `net`.
+std::size_t distinct_event_times(const SocialAttributeNetwork& net) {
+  std::vector<double> times(net.social_node_times().begin(),
+                            net.social_node_times().end());
+  times.insert(times.end(), net.attribute_node_times().begin(),
+               net.attribute_node_times().end());
+  for (const auto& e : net.social_log()) times.push_back(e.time);
+  for (const auto& l : net.attribute_log()) times.push_back(l.time);
+  std::sort(times.begin(), times.end());
+  return static_cast<std::size_t>(
+      std::unique(times.begin(), times.end()) - times.begin());
+}
+
 int cmd_snapshots(const Flags& flags, const char* path) {
   const double step = flags.number("--step", 1.0, 0.0, kInf, /*above=*/true);
   const auto net = load_san(path);
   const SanTimeline timeline(net);
+
+  // Size the grid before allocating it. Consecutive rows differ only when
+  // an event time falls between them, so no more rows than the distinct
+  // event times (plus an empty first day) can differ; a finer step only
+  // repeats rows, and a tiny one would grow the grid without bound.
+  const std::size_t distinct_rows = distinct_event_times(net) + 1;
+  const double grid = std::ceil(timeline.max_time() / step);
+  if (!(grid <= static_cast<double>(distinct_rows))) {
+    usage_error("invalid --step '%s' (%.3g snapshots over %g days; this "
+                "file's distinct event times back at most %zu)",
+                flags.text("--step", "1"), grid, timeline.max_time(),
+                distinct_rows);
+  }
 
   // Integer-index grid: repeated `day += step` accumulates rounding error
   // and can emit two nearly-identical final snapshots.

@@ -181,6 +181,14 @@ def test_end_to_end(tmp):
            ["social nodes:"])
     snap = run("snapshots", san, "--step", "20")
     expect("snapshots -> exit 0", snap, 0, ["day", "delta-advanced"])
+    expect("snapshots --step 7 (README) -> exit 0",
+           run("snapshots", san, "--step", "7"), 0, ["14 snapshots"])
+    # A step finer than the file's distinct event times can back is
+    # refused up front instead of growing the day grid without bound.
+    for step in ("1e-300", "1e-9"):
+        expect(f"snapshots --step {step} -> exit 2 within 5 s",
+               run("snapshots", san, "--step", step, timeout=5), 2,
+               [f"invalid --step '{step}'"])
 
     workload = os.path.join(tmp, "w.txt")
     with open(workload, "w", encoding="utf-8") as f:
@@ -733,6 +741,39 @@ def test_telemetry(tmp):
               "serve.query.ego.p50_us" in json.load(f))
 
 
+def test_derived_build_stats(tmp):
+    """A live session that served sybil and community queries reports
+    their derived-state build latencies in --stats-json, and telemetry
+    leaves stdout unchanged."""
+    san = os.path.join(tmp, "derived.san")
+    expect("derived stats: generate net -> exit 0",
+           run("generate", "--kind", "gplus", "--nodes", "900", "--seed",
+               "4", "-o", san), 0, ["wrote"])
+    workload = os.path.join(tmp, "derived_wl.txt")
+    with open(workload, "w", encoding="utf-8") as f:
+        f.write("sybil 10 3\ncommunity 10 4\ningest 55\nsybil now 3\n"
+                "community now 5\ninfluence now 2\n")
+    plain = run("live", san, "--workload", workload, "--start", "10")
+    expect("derived stats: untelemetered live -> exit 0", plain, 0)
+    stats_path = os.path.join(tmp, "derived_stats.json")
+    telem = run("live", san, "--workload", workload, "--start", "10",
+                "--stats-json", stats_path)
+    expect("derived stats: instrumented live -> exit 0", telem, 0)
+    check("derived stats: stdout identical with telemetry on",
+          telem.stdout == plain.stdout,
+          f"telem={telem.stdout!r} plain={plain.stdout!r}")
+    try:
+        with open(stats_path, encoding="utf-8") as f:
+            stats = json.load(f)
+    except (OSError, ValueError) as error:
+        check("derived stats: JSON parses", False, str(error))
+        return
+    for kind in ("sybil", "community", "influence"):
+        key = f"cache.derived_build.{kind}.count"
+        check(f"derived stats: {key} >= 1", stats.get(key, 0) >= 1,
+              str(stats.get(key)))
+
+
 def main():
     global SAN_TOOL
     if len(sys.argv) != 2:
@@ -751,6 +792,7 @@ def main():
         test_genload_pipeline(tmp)
         test_new_query_kinds(tmp)
         test_telemetry(tmp)
+        test_derived_build_stats(tmp)
         test_listen_byte_identity(tmp)
         test_listen_protocol_edges(tmp)
         test_listen_drain(tmp)
