@@ -3,10 +3,16 @@
 // wall-clock speedups, and verifies that every metric is byte-identical to
 // the single-threaded run (the substrate's determinism contract).
 //
+// Each (kernel, threads) cell is the median of kReps timed runs, with the
+// spread (max - min) / median printed beside it: one timing of a small
+// kernel swings by 2x on a shared host. Every run, not only the first,
+// must match the single-thread metrics.
+//
 // Scale with SAN_SCALING_EDGES; thread sweep is fixed at 1/2/4/8 capped by
 // SAN_SCALING_MAX_THREADS if set. `--json OUT` writes the single-thread
-// kernel timings (informational — absolute seconds, not gated by
+// kernel median timings (informational — absolute seconds, not gated by
 // tools/check_bench.py).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -96,6 +102,24 @@ struct TimedRun {
   double anf_s = 0.0;
 };
 
+/// Timed runs behind each cell's median.
+constexpr std::size_t kReps = 5;
+
+/// Median and relative spread of one kernel's kReps timings.
+struct Cell {
+  double median_s = 0.0;
+  double spread = 0.0;  // (max - min) / median
+};
+
+Cell summarize(const std::vector<TimedRun>& runs, double TimedRun::* field) {
+  std::vector<double> values;
+  for (const TimedRun& run : runs) values.push_back(run.*field);
+  std::sort(values.begin(), values.end());
+  const double median = values[values.size() / 2];
+  return {median, median > 0.0 ? (values.back() - values.front()) / median
+                               : 0.0};
+}
+
 TimedRun run_kernels(const CsrGraph& g) {
   TimedRun run;
 
@@ -139,46 +163,60 @@ int main(int argc, char** argv) {
   std::printf("# built graph: %zu nodes, %llu edges\n", g.node_count(),
               static_cast<unsigned long long>(g.edge_count()));
 
+  std::printf("# each cell: median of %zu runs (spread = (max-min)/median)\n",
+              kReps);
   std::printf("%-8s %-12s %-12s %-12s %-12s %-10s\n", "threads", "clustering",
               "wcc", "metrics", "hyperanf", "identical");
 
-  TimedRun base;
+  constexpr double TimedRun::* kFields[] = {
+      &TimedRun::clustering_s, &TimedRun::wcc_s, &TimedRun::metrics_s,
+      &TimedRun::anf_s};
+  KernelResults base_results;
+  Cell base[4];
   bool all_identical = true;
   for (const std::size_t t : {1UL, 2UL, 4UL, 8UL}) {
     if (t > max_threads) break;
     san::core::set_thread_count(t);
-    const TimedRun run = run_kernels(g);
-    const bool same = t == 1 || identical(run.results, base.results);
-    all_identical = all_identical && same;
-    if (t == 1) {
-      base = run;
-      std::printf("%-8zu %-12.3f %-12.3f %-12.3f %-12.3f %-10s\n", t,
-                  run.clustering_s, run.wcc_s, run.metrics_s, run.anf_s, "-");
-    } else {
-      std::printf(
-          "%-8zu %-12.3f %-12.3f %-12.3f %-12.3f %-10s  (speedup "
-          "cc=%.2fx wcc=%.2fx metrics=%.2fx anf=%.2fx)\n",
-          t, run.clustering_s, run.wcc_s, run.metrics_s, run.anf_s,
-          same ? "yes" : "NO", base.clustering_s / run.clustering_s,
-          base.wcc_s / run.wcc_s, base.metrics_s / run.metrics_s,
-          base.anf_s / run.anf_s);
+    std::vector<TimedRun> runs;
+    bool same = true;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      runs.push_back(run_kernels(g));
+      if (t == 1 && rep == 0) base_results = runs.front().results;
+      same = same && identical(runs.back().results, base_results);
     }
+    all_identical = all_identical && same;
+    Cell cell[4];
+    for (std::size_t k = 0; k < 4; ++k) cell[k] = summarize(runs, kFields[k]);
+    if (t == 1) std::copy(cell, cell + 4, base);
+    std::printf("%-8zu %-12.3f %-12.3f %-12.3f %-12.3f %-10s", t,
+                cell[0].median_s, cell[1].median_s, cell[2].median_s,
+                cell[3].median_s, t == 1 ? "-" : same ? "yes" : "NO");
+    if (t > 1) {
+      std::printf("  (speedup cc=%.2fx wcc=%.2fx metrics=%.2fx anf=%.2fx)",
+                  base[0].median_s / cell[0].median_s,
+                  base[1].median_s / cell[1].median_s,
+                  base[2].median_s / cell[2].median_s,
+                  base[3].median_s / cell[3].median_s);
+    }
+    std::printf("\n%-8s spread cc=%.0f%% wcc=%.0f%% metrics=%.0f%% anf=%.0f%%\n",
+                "", 100.0 * cell[0].spread, 100.0 * cell[1].spread,
+                100.0 * cell[2].spread, 100.0 * cell[3].spread);
   }
   san::core::set_thread_count(1);
 
   std::printf("# approx_cc=%.6f assortativity=%.6f reciprocity=%.6f wcc=%zu "
               "largest=%llu\n",
-              base.results.approx_cc, base.results.assortativity,
-              base.results.reciprocity, base.results.wcc_count,
-              static_cast<unsigned long long>(base.results.wcc_largest_size));
+              base_results.approx_cc, base_results.assortativity,
+              base_results.reciprocity, base_results.wcc_count,
+              static_cast<unsigned long long>(base_results.wcc_largest_size));
   if (!all_identical) {
     std::printf("FAIL: multi-threaded results differ from single-threaded\n");
     return 1;
   }
-  report.add("clustering_1t_s", base.clustering_s);
-  report.add("wcc_1t_s", base.wcc_s);
-  report.add("metrics_1t_s", base.metrics_s);
-  report.add("hyperanf_1t_s", base.anf_s);
+  report.add("clustering_1t_s", base[0].median_s);
+  report.add("wcc_1t_s", base[1].median_s);
+  report.add("metrics_1t_s", base[2].median_s);
+  report.add("hyperanf_1t_s", base[3].median_s);
   if (!report.write_if_requested(argc, argv)) return 1;
   std::printf("OK: all thread counts produced byte-identical metrics\n");
   return 0;

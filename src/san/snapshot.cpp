@@ -1,10 +1,16 @@
 #include "san/snapshot.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
 namespace san {
+
+std::uint64_t next_snapshot_generation() {
+  static std::atomic<std::uint64_t> counter{kNoGeneration};
+  return ++counter;
+}
 
 SanSnapshot snapshot_at(const SocialAttributeNetwork& network, double time) {
   SanSnapshot snap;

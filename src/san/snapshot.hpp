@@ -14,6 +14,12 @@
 // call (O(total links) regardless of t). Evolution studies that materialize
 // many snapshots should build a san::SanTimeline (san/timeline.hpp) once
 // and sweep it — same results, O(links <= t) per snapshot.
+//
+// Identity: a snapshot's `generation` is process-unique, drawn from one
+// global counter at construction and whenever SanTimeline rewrites it in
+// place; copies share it. State kept per snapshot elsewhere (derived
+// serving state, a Materializer's delta state) is keyed by it alone. It
+// is not content: byte-identity gates ignore it.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +31,11 @@
 #include "san/san.hpp"
 
 namespace san {
+
+/// A generation no snapshot carries.
+inline constexpr std::uint64_t kNoGeneration = 0;
+/// The next snapshot generation; thread-safe.
+std::uint64_t next_snapshot_generation();
 
 /// Immutable snapshot of a SAN at one point in time. Node ids are the same
 /// dense ids as the source network (nodes join chronologically).
@@ -39,6 +50,7 @@ struct SanSnapshot {
   std::uint64_t dropped_link_count = 0;
   std::size_t created_attribute_count = 0;
   double time = 0.0;
+  std::uint64_t generation = next_snapshot_generation();
 
   std::size_t social_node_count() const { return social.node_count(); }
   /// Attribute nodes created by `time` (see attribute_id_count for the

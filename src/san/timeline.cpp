@@ -114,20 +114,14 @@ struct SanTimeline::Scratch {
   std::vector<std::uint64_t> dense_out, dense_in;  // dense rank prefixes
   AttrLinkBuffers attr_links;
 
-  // Delta-sweep state: which snapshot this scratch last produced, the log
+  // Delta-sweep state: the generation of the snapshot this scratch last
+  // produced (kNoGeneration: none, the next advance rebuilds), the log
   // prefixes it covers, and every logged social link it had to drop.
-  bool delta_valid = false;
-  const SanSnapshot* delta_snap = nullptr;
-  double delta_time = 0.0;
+  std::uint64_t generation = kNoGeneration;
   std::size_t n_social = 0;
   std::size_t edge_prefix = 0;
   std::size_t link_prefix = 0;
   std::size_t created_prefix = 0;
-  // Attribute id-space size when the snapshot was produced: absorb() can
-  // grow the space between advances, which is legal (the snapshot's dense
-  // arrays are extended), unlike a size mismatch against this record
-  // (a foreign snapshot), which forces a full build.
-  std::size_t attr_total = 0;
   std::vector<std::pair<NodeId, NodeId>> deferred_edges;
   // advance() working sets.
   std::vector<std::pair<NodeId, NodeId>> delta_edges;
@@ -147,7 +141,9 @@ void SanTimeline::Materializer::advance(double time, SanSnapshot& snap) {
   timeline_->advance(time, snap, *scratch_);
 }
 
-void SanTimeline::Materializer::invalidate() { scratch_->delta_valid = false; }
+void SanTimeline::Materializer::invalidate() {
+  scratch_->generation = kNoGeneration;
+}
 
 SanTimeline::SanTimeline(const SocialAttributeNetwork& network) {
   const auto node_times = network.social_node_times();
@@ -559,6 +555,7 @@ void SanTimeline::build_attribute_links(std::size_t n_social,
 
 void SanTimeline::materialize(double time, SanSnapshot& snap,
                               Scratch* slack) const {
+  snap.generation = next_snapshot_generation();
   snap.time = time;
 
   const std::size_t n_social = prefix_at(social_node_times_, time);
@@ -588,29 +585,23 @@ void SanTimeline::materialize(double time, SanSnapshot& snap,
   if (!slack) return;
 
   // A slack build is advance-ready: remember what `snap` now holds.
-  slack->delta_valid = true;
-  slack->delta_snap = &snap;
-  slack->delta_time = time;
+  slack->generation = snap.generation;
   slack->n_social = n_social;
   slack->edge_prefix = edge_prefix;
   slack->link_prefix = link_prefix;
   slack->created_prefix = created_prefix;
-  slack->attr_total = n_attr;
 }
 
 void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
-  // The address check alone is spoofable (a new snapshot can reuse a
-  // destroyed one's storage), so also require the snapshot's observable
-  // state to match what this scratch last produced — any mismatch falls
-  // back to a full build instead of corrupting a foreign object.
-  if (!s.delta_valid || s.delta_snap != &snap || time < s.delta_time ||
-      snap.time != s.delta_time ||
-      snap.social.node_count() != s.n_social ||
-      snap.attribute_created.size() != s.attr_total ||
-      snap.created_attribute_count != s.created_prefix) {
+  // Only what this scratch last produced (or a copy: same generation)
+  // takes a delta; anything else gets a full build.
+  if (snap.generation != s.generation || time < snap.time) {
     materialize(time, snap, &s);
     return;
   }
+  // Restamp before the first write: a rewrite that throws halfway must
+  // not pass for the old content.
+  snap.generation = next_snapshot_generation();
   // The timeline may have absorbed new attribute nodes since this snapshot
   // was produced (live ingestion): extend the dense id-space arrays — ids
   // only ever append, so existing entries keep their positions.
@@ -619,7 +610,6 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
     snap.attribute_created.resize(n_attr, 0);
     snap.attribute_types.resize(n_attr, AttributeType::kOther);
   }
-  s.attr_total = n_attr;
   const std::size_t n_new = prefix_at(social_node_times_, time);
   const std::size_t edge_prefix_new = prefix_at(edge_time_, time);
   const std::size_t link_prefix_new = prefix_at(link_time_, time);
@@ -708,7 +698,7 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   snap.dropped_link_count =
       s.deferred_edges.size() + s.attr_links.deferred.size();
   snap.time = time;
-  s.delta_time = time;
+  s.generation = snap.generation;
   s.n_social = n_new;
   s.edge_prefix = edge_prefix_new;
   s.link_prefix = link_prefix_new;

@@ -74,8 +74,8 @@ class SanTimeline {
 
     /// Delta path: bring `snap` to `time` by appending only the links that
     /// arrived since this Materializer last produced it. Falls back to a
-    /// full (slack-layout) rebuild when `snap` is not the snapshot this
-    /// Materializer built last, `time` regresses, per-node slack is
+    /// full (slack-layout) rebuild when `snap` lacks the generation this
+    /// Materializer last stamped, `time` regresses, per-node slack is
     /// exhausted, or a previously dropped link activates (its endpoint
     /// joined, which belongs mid-list in members_of time order). Either
     /// way the result is bit-identical to snapshot_at(time).

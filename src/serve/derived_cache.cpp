@@ -9,8 +9,7 @@
 
 namespace san::serve {
 
-DerivedCache::DerivedCache(std::size_t capacity)
-    : capacity_(capacity) {
+DerivedCache::DerivedCache(std::size_t capacity) : days_{capacity} {
   if (capacity == 0) {
     throw std::invalid_argument("DerivedCache: capacity must be >= 1");
   }
@@ -21,31 +20,22 @@ std::shared_ptr<const T> DerivedCache::resolve(
     std::shared_future<std::shared_ptr<const T>> Cell::* slot,
     const Handle& snap, Build&& build) {
   using Ptr = std::shared_ptr<const T>;
-  const SanSnapshot* key = snap.get();
+  const std::uint64_t key = snap->generation;
+  Lru& lru = lru_for(*snap);
   std::optional<std::promise<Ptr>> promise;
   std::shared_future<Ptr> shared;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it != index_.end() && (it->second->owner.expired() ||
-                               it->second->time != snap->time)) {
-      // The address carries a different network state now — either the
-      // owning snapshot died and the allocator reused its address, or a
-      // live timeline recycled this epoch buffer in place (same object,
-      // advanced tip). Drop the stale cell.
-      lru_.erase(it->second);
-      index_.erase(it);
-      it = index_.end();
-    }
-    if (it == index_.end()) {
-      if (lru_.size() >= capacity_) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
+    auto it = lru.index.find(key);
+    if (it == lru.index.end()) {
+      if (lru.cells.size() >= lru.capacity) {
+        lru.index.erase(lru.cells.back().generation);
+        lru.cells.pop_back();
       }
-      lru_.push_front(Cell{key, snap, snap->time, {}, {}, {}});
-      it = index_.emplace(key, lru_.begin()).first;
+      lru.cells.push_front(Cell{key, {}, {}, {}});
+      it = lru.index.emplace(key, lru.cells.begin()).first;
     } else {
-      lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
+      lru.cells.splice(lru.cells.begin(), lru.cells, it->second);  // to MRU
     }
     auto& future = (*it->second).*slot;
     if (future.valid()) {
@@ -76,11 +66,8 @@ std::shared_ptr<const T> DerivedCache::resolve(
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = index_.find(key);
-      // Reset the slot (so a later request can retry) only if the cell is
-      // still ours — it may have been evicted and recreated meanwhile.
-      if (it != index_.end() && it->second->owner.lock() == snap &&
-          it->second->time == snap->time) {
+      // Reset the slot so a later request can retry.
+      if (const auto it = lru.index.find(key); it != lru.index.end()) {
         (*it->second).*slot = {};
       }
     }
@@ -123,23 +110,17 @@ std::shared_ptr<const InfluenceState> DerivedCache::influence(
   });
 }
 
-void DerivedCache::erase(const SanSnapshot* snapshot) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(snapshot);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
 void DerivedCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
+  for (Lru* lru : {&days_, &tips_}) {
+    lru->cells.clear();
+    lru->index.clear();
+  }
 }
 
 std::size_t DerivedCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
+  return days_.cells.size() + tips_.cells.size();
 }
 
 void DerivedCache::reset_stats() {

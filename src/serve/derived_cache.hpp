@@ -5,25 +5,18 @@
 // Each is computed at most once per resolved snapshot and shared by every
 // query in a batch (and across batches) that addresses the same time.
 //
-// Keying: cells are keyed by snapshot IDENTITY (the SanSnapshot address),
-// not by time — live-tip epochs are not LRU-cached by SnapshotCache and
-// have no stable time key. Identity alone is not enough, though, because
-// an address can carry DIFFERENT network states over the cache's
-// lifetime, two ways:
-//   * the owning snapshot died and the allocator handed the address to a
-//     new one — caught by a weak_ptr owner guard (expired => drop);
-//   * a live timeline RECYCLED a retired epoch buffer in place (same
-//     object, same control block, grown content) — invisible to the
-//     owner guard, caught by storing the snapshot's `time` in the cell:
-//     published tips strictly advance, and resident non-live snapshots
-//     are immutable, so `cell.time != snap->time` means the content
-//     changed and the cell is dropped on the next lookup.
+// Keying: by the snapshot's generation (san/snapshot.hpp) alone. Live
+// tips have no stable time key, and an address can carry new content
+// (a recycled live epoch buffer), but every rewrite stamps a fresh
+// generation, so a stale cell is simply never looked up again.
 //
-// Eviction: SnapshotCache::at erases a snapshot's cell the moment it
-// evicts the snapshot (the coupling the serving layer relies on — derived
-// state never outlives its snapshot's residency), and the side-cache
-// additionally bounds itself with its own LRU of the same capacity so
-// live-tip cells (one per published epoch) cannot accumulate.
+// Eviction: only the cache's own LRUs. Frozen days share one of the
+// constructor's capacity; a day re-materialized after its snapshot left
+// the SnapshotCache is a new generation, so its old cells age out unused.
+// Once bind_live() names the live horizon, tips (snapshots past it) get a
+// separate two-cell LRU: each publish supersedes the tip, so only the
+// newest and one a request resolved just before a publish can be asked
+// for again, and one shared LRU would fill with dead epochs' cells.
 //
 // Determinism contract: every builder is a deterministic serial function
 // of the immutable snapshot and the options fixed at engine construction
@@ -38,6 +31,7 @@
 
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -78,6 +72,10 @@ class DerivedCache {
  public:
   explicit DerivedCache(std::size_t capacity);
 
+  /// Keep snapshots whose time is past `horizon` (live tips) in the tip
+  /// LRU. Call during setup, before any concurrent request.
+  void bind_live(double horizon) { live_horizon_ = horizon; }
+
   /// The derived artifact for `snap`, built on first request. Safe from
   /// any number of threads; duplicate requests coalesce onto the first
   /// build except on a core-substrate pool lane, which builds a private
@@ -91,9 +89,7 @@ class DerivedCache {
   std::shared_ptr<const InfluenceState> influence(
       const std::shared_ptr<const SanSnapshot>& snap);
 
-  /// Drop `snapshot`'s cell, if resident (the SnapshotCache eviction
-  /// hook). Outstanding shared_ptrs to the derived state stay valid.
-  void erase(const SanSnapshot* snapshot);
+  /// Drop every cell. Outstanding shared_ptrs to derived state stay valid.
   void clear();
 
   std::size_t size() const;
@@ -111,9 +107,7 @@ class DerivedCache {
  private:
   using Handle = std::shared_ptr<const SanSnapshot>;
   struct Cell {
-    const SanSnapshot* key = nullptr;
-    std::weak_ptr<const SanSnapshot> owner;  // address-reuse guard
-    double time = 0.0;  // epoch-buffer-recycling guard (see keying note)
+    std::uint64_t generation = kNoGeneration;
     // Per-kind build slots: an invalid future means "never requested";
     // a valid one is the (possibly still in-flight) single build.
     std::shared_future<std::shared_ptr<const apps::SybilLimit>> sybil;
@@ -121,12 +115,21 @@ class DerivedCache {
     std::shared_future<std::shared_ptr<const InfluenceState>> influence;
   };
 
+  struct Lru {
+    explicit Lru(std::size_t cells_max) : capacity(cells_max) {}
+    const std::size_t capacity;
+    std::list<Cell> cells;  // front = most recently used
+    std::unordered_map<std::uint64_t, std::list<Cell>::iterator> index;
+  };
+  Lru& lru_for(const SanSnapshot& snap) {
+    return snap.time > live_horizon_ ? tips_ : days_;
+  }
+
   template <typename T, typename Build>
   std::shared_ptr<const T> resolve(
       std::shared_future<std::shared_ptr<const T>> Cell::* slot,
       const Handle& snap, Build&& build);
 
-  const std::size_t capacity_;
   std::shared_ptr<obs::Counter> hits_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> misses_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Histogram> sybil_build_ns_ =
@@ -135,9 +138,10 @@ class DerivedCache {
       std::make_shared<obs::Histogram>();
   std::shared_ptr<obs::Histogram> influence_build_ns_ =
       std::make_shared<obs::Histogram>();
+  double live_horizon_ = std::numeric_limits<double>::infinity();
   mutable std::mutex mutex_;
-  std::list<Cell> lru_;  // front = most recently used
-  std::unordered_map<const SanSnapshot*, std::list<Cell>::iterator> index_;
+  Lru days_;
+  Lru tips_{2};
 };
 
 }  // namespace san::serve

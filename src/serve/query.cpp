@@ -63,10 +63,12 @@ NodeId parse_node(const std::string& token, std::size_t line_no,
   return static_cast<NodeId>(value);
 }
 
-std::uint32_t parse_k(const std::string& token, std::size_t line_no) {
+std::uint32_t parse_k(const std::string& token, std::size_t line_no,
+                      std::uint32_t max_k) {
   const std::uint64_t k = parse_u64(token, line_no, "k");
-  if (k == 0 || k > 0xffffffffULL) {
-    bad_line(line_no, "k '" + token + "' out of range");
+  if (k == 0 || k > max_k) {
+    bad_line(line_no, "k '" + token + "' out of range (1.." +
+                          std::to_string(max_k) + ")");
   }
   return static_cast<std::uint32_t>(k);
 }
@@ -226,7 +228,7 @@ bool parse_step(const std::string& line, std::size_t line_no,
     }
     q.time = parse_time(a, line_no, &q.now);
     q.user = parse_node(b, line_no, "user");
-    q.k = parse_k(c, line_no);
+    q.k = parse_k(c, line_no, std::numeric_limits<std::uint32_t>::max());
   } else if (op == "ego" || op == "sybil" || op == "community") {
     q.kind = op == "ego"     ? QueryKind::kEgoMetrics
              : op == "sybil" ? QueryKind::kSybil
@@ -250,7 +252,7 @@ bool parse_step(const std::string& line, std::size_t line_no,
       bad_line(line_no, "'" + op + "' expects TIME K [SEED...]");
     }
     q.time = parse_time(a, line_no, &q.now);
-    q.k = parse_k(b, line_no);
+    q.k = parse_k(b, line_no, kMaxInfluenceK);
     while (fields >> c) q.seeds.push_back(parse_node(c, line_no, "seed"));
     return true;  // variable arity: every remaining token was consumed
   } else {

@@ -109,6 +109,10 @@ struct QueryResult {
   std::string to_line(const Query& query) const;
 };
 
+/// Largest `influence` k: greedy cost grows with k, so a bigger one could
+/// let one line stall a server.
+inline constexpr std::uint32_t kMaxInfluenceK = 64;
+
 /// Parse a workload file of one query per line:
 ///
 ///   linkrec   <time> <user> <k>
@@ -119,10 +123,11 @@ struct QueryResult {
 ///   community <time> <user>
 ///   influence <time> <k> [<seed>...]
 ///
-/// <time> is a snapshot day or the token `now` (the live tip). Blank lines
-/// and lines starting with '#' are skipped. Malformed lines — including
-/// `ingest` lines, which only live replay accepts — throw
-/// std::invalid_argument naming the line number and the offending token.
+/// <time> is a snapshot day or the token `now` (the live tip); influence
+/// <k> is at most kMaxInfluenceK. Blank lines and lines starting with '#'
+/// are skipped. Malformed lines — including `ingest` lines, which only
+/// live replay accepts — throw std::invalid_argument naming the line
+/// number and the offending token.
 std::vector<Query> parse_workload(const std::string& text);
 
 /// parse_workload over the contents of `path` (throws std::runtime_error

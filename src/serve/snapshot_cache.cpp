@@ -93,9 +93,6 @@ std::shared_ptr<const SanSnapshot> SnapshotCache::at(double time) {
     if (!promise) return handle;  // unregistered duplicate: no insert
     if (lru_.size() >= capacity_) {
       evictions_->add();
-      // Derived state is invalidated WITH its snapshot's eviction, so the
-      // side-cache never pins state for days the LRU has given up on.
-      derived_.erase(lru_.back().snapshot.get());
       index_.erase(lru_.back().time);
       lru_.pop_back();
     }
@@ -168,6 +165,7 @@ void SnapshotCache::bind_live(const LiveTimeline& live, double horizon) {
   }
   live_ = &live;
   live_horizon_ = horizon;
+  derived_.bind_live(horizon);
 }
 
 void SnapshotCache::set_miss_hook(std::function<void(double)> hook) {

@@ -78,9 +78,8 @@ class SnapshotCache {
   Stats stats() const;
 
   /// The per-snapshot derived-state side-cache (sybil topology, community
-  /// labels, influence first pick). Cells are keyed by snapshot identity
-  /// and dropped the moment at() evicts their snapshot; live-tip epochs
-  /// get cells too, bounded by the side-cache's own LRU (same capacity).
+  /// labels, influence first pick), keyed by snapshot generation; its LRU
+  /// for frozen days has this cache's capacity (serve/derived_cache.hpp).
   DerivedCache& derived() { return derived_; }
 
   /// One coherent zero-point for every stat, including the lock-free

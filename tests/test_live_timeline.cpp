@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -423,6 +425,41 @@ TEST(LiveTimeline, RetiredEpochBuffersAreRecycled) {
     }
   }
   EXPECT_EQ(live.stats().epoch_buffers, 2u);
+}
+
+TEST(LiveTimeline, EveryPublishedEpochCarriesAFreshGeneration) {
+  // Epoch k+2 is served from epoch k's recycled buffer, yet it is new
+  // content, so it must carry a new generation (state keyed by generation
+  // would otherwise outlive what it was built from). A pinned epoch keeps
+  // its generation while ingest continues around it.
+  LiveTimeline live;
+  std::vector<const SanSnapshot*> seen;
+  std::vector<std::uint64_t> generations{live.tip()->generation};
+  IngestBatch batch;
+  std::shared_ptr<const SanSnapshot> pinned;
+  std::uint64_t pinned_generation = san::kNoGeneration;
+  for (int i = 1; i <= 8; ++i) {
+    batch.tip = i;
+    live.ingest(batch);
+    const auto tip = live.tip();
+    seen.push_back(tip.get());
+    generations.push_back(tip->generation);
+    if (i == 5) {
+      pinned = tip;
+      pinned_generation = tip->generation;
+    }
+  }
+  ASSERT_EQ(seen[2], seen[0]);  // recycled buffers are in the sequence
+  ASSERT_EQ(seen[3], seen[1]);
+  std::vector<std::uint64_t> distinct(generations);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_EQ(distinct.size(), generations.size());
+  EXPECT_EQ(std::count(generations.begin(), generations.end(),
+                       san::kNoGeneration),
+            0);
+  EXPECT_EQ(pinned->generation, pinned_generation);
 }
 
 TEST(LiveOracle, PinnedEpochGrowsThePoolAndLaggingBufferCatchesUp) {

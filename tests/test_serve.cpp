@@ -497,6 +497,34 @@ TEST(Workload, ParsesSybilCommunityInfluenceLines) {
                std::invalid_argument);
 }
 
+TEST(Workload, InfluenceKIsCappedButTopKIsNot) {
+  // Greedy influence cost grows with k, so its k stops at kMaxInfluenceK;
+  // linkrec/attrs k only truncates a top-k and keeps the 32-bit range.
+  const auto cap = std::to_string(san::serve::kMaxInfluenceK);
+  const auto over = std::to_string(san::serve::kMaxInfluenceK + 1);
+  const auto queries = san::serve::parse_workload(
+      "influence now " + cap + "\nlinkrec 5 3 4294967295\n");
+  ASSERT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries[0].k, san::serve::kMaxInfluenceK);
+  EXPECT_EQ(queries[1].k, 4294967295u);
+
+  for (const std::string& k : {over, std::string("1000"),
+                               std::string("4294967295")}) {
+    SCOPED_TRACE(k);
+    try {
+      (void)san::serve::parse_workload("ego 1 2\ninfluence now " + k +
+                                       " 3\n");
+      ADD_FAILURE() << "influence k " << k << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "workload line 2: k '" + k + "' out of range (1.." + cap +
+                    ")");
+    }
+  }
+  EXPECT_THROW(san::serve::parse_workload("linkrec 5 3 4294967296\n"),
+               std::invalid_argument);
+}
+
 TEST(Workload, MalformedLinesNameTheLineAndOffendingToken) {
   const auto message_of = [](const std::string& text) {
     try {

@@ -4,8 +4,9 @@
 // computed directly on the resolved snapshot — swept across SAN_THREADS
 // and every SIMD level this host dispatches to, against frozen history
 // and the live tip alike. Also covers the derived-state side-cache:
-// hit/miss accounting, eviction coupling, and the live epoch-buffer
-// recycling hazard.
+// hit/miss accounting, generation keying (copies share cells, a
+// re-materialized day does not), and the live epoch-buffer recycling
+// hazard.
 #include "serve/query_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -367,7 +368,7 @@ TEST(ServeApps, DerivedStateRebuildsWhenLiveEpochBufferIsRecycled) {
   // SanSnapshot address (same control block, still alive) reappears as a
   // later epoch with more links. Derived cells keyed by address alone
   // would serve the OLD epoch's sybil topology / labels / first pick for
-  // the new one; the cell's stored snapshot time must catch this. Each
+  // the new one; the fresh generation each advance stamps prevents it. Each
   // round ingests a link incident to the queried user, so any stale
   // reuse changes the rendered result.
   LiveRig rig;
@@ -452,6 +453,32 @@ TEST(ServeApps, EveryOtherLiveEpochReusesABufferAndRebuildsDerivedState) {
   }
 }
 
+TEST(ServeApps, LiveTipDerivedCellsStayBoundedAndSpareFrozenDays) {
+  // Every publish supersedes the tip, so tips' derived state lives in its
+  // own two-cell LRU: past epochs' cells do not pile up, and tip churn
+  // never pushes a frozen day's cells out of the LRU for frozen days.
+  LiveRig rig;
+  SnapshotCache cache(rig.frozen, 2);
+  cache.bind_live(rig.live);
+  QueryEngine engine(cache);
+  const double horizon = rig.frozen.max_time();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  (void)engine.run_single(make(QueryKind::kSybil, 40.0, 3));
+  for (int round = 1; round <= 4; ++round) {
+    rig.ingest_day(horizon + round, 3, static_cast<NodeId>(700 + round));
+    Query q = make(QueryKind::kSybil, inf, 3);
+    q.now = true;
+    ASSERT_TRUE(engine.run_single(q).ok);
+  }
+  EXPECT_EQ(cache.derived().size(), 3u);  // two tips + day 40
+  EXPECT_EQ(cache.stats().derived_misses, 5u);
+
+  (void)engine.run_single(make(QueryKind::kSybil, 40.0, 3));
+  EXPECT_EQ(cache.stats().derived_hits, 1u);
+  EXPECT_EQ(cache.stats().derived_misses, 5u);
+}
+
 // ---- Derived-state side-cache accounting. ----
 
 TEST(ServeApps, DerivedStateBuildsOncePerSnapshotAcrossBatches) {
@@ -485,6 +512,35 @@ TEST(ServeApps, DerivedStateBuildsOncePerSnapshotAcrossBatches) {
   EXPECT_EQ(cache.stats().derived_misses, 4u);
 }
 
+TEST(ServeApps, ACopiedSnapshotReusesItsDerivedCells) {
+  // Cells are keyed by generation alone and a copy shares its original's,
+  // so the copy reuses every cell. Re-materializing the same day stamps a
+  // new generation and builds again.
+  const auto net = small_gplus();
+  const SanTimeline timeline(net);
+  san::serve::DerivedCache derived(4);
+  const san::serve::DerivedOptions options;
+  const auto original =
+      std::make_shared<const SanSnapshot>(timeline.snapshot_at(98.0));
+  const auto copy = std::make_shared<const SanSnapshot>(*original);
+  ASSERT_EQ(copy->generation, original->generation);
+
+  const auto sybil = derived.sybil(original, options.sybil);
+  const auto community = derived.community(original, options.community);
+  const auto influence = derived.influence(original);
+  EXPECT_EQ(derived.sybil(copy, options.sybil), sybil);
+  EXPECT_EQ(derived.community(copy, options.community), community);
+  EXPECT_EQ(derived.influence(copy), influence);
+  EXPECT_EQ(derived.misses(), 3u);  // one build per kind
+  EXPECT_EQ(derived.hits(), 3u);
+
+  const auto again =
+      std::make_shared<const SanSnapshot>(timeline.snapshot_at(98.0));
+  EXPECT_NE(again->generation, original->generation);
+  EXPECT_NE(derived.sybil(again, options.sybil), sybil);
+  EXPECT_EQ(derived.misses(), 4u);
+}
+
 TEST(ServeApps, DerivedCellsEvictWithTheirSnapshot) {
   const auto net = small_gplus();
   const SanTimeline timeline(net);
@@ -495,7 +551,8 @@ TEST(ServeApps, DerivedCellsEvictWithTheirSnapshot) {
   (void)engine.run_single(make(QueryKind::kSybil, 70.0, 3));
   EXPECT_EQ(cache.stats().evictions, 1u);
   // Returning to the evicted day must rebuild the derived state too: the
-  // eviction coupling dropped its cell.
+  // re-materialized snapshot is a new generation, and the old cell has
+  // aged out of the side-cache's LRU of the same capacity.
   (void)engine.run_single(make(QueryKind::kSybil, 40.0, 3));
   EXPECT_EQ(cache.stats().derived_misses, 3u);
   EXPECT_EQ(cache.stats().derived_hits, 0u);

@@ -330,6 +330,42 @@ TEST(Timeline, AdvanceFallsBackOnFreshSnapshotAndRegression) {
   expect_snapshots_identical(other, snapshot_at(net, mid), mid);
 }
 
+TEST(Timeline, AdvanceTakesTheDeltaPathOnACopyOfItsLastOutput) {
+  // A copy shares its original's generation, so the Materializer treats it
+  // as its own last output and takes the delta path. Observable through
+  // storage: a delta with nothing to append leaves the copy's buffers in
+  // place, where a full build always swaps in the scratch's. Advancing
+  // stamps the copy anew, so the original no longer matches and rebuilds.
+  const auto net = san::testlib::model_san(300, 8);
+  const SanTimeline timeline(net);
+  const double mid = timeline.max_time() / 2.0;
+  const double next = mid + timeline.max_time() / 40.0;
+  ASSERT_GT(snapshot_at(net, next).social_link_count(),
+            snapshot_at(net, mid).social_link_count());
+  const auto storage = [](const SanSnapshot& snap) {
+    return snap.social.out(0).data();
+  };
+
+  SanTimeline::Materializer materializer(timeline);
+  SanSnapshot original;
+  materializer.advance(mid, original);
+  SanSnapshot copy = original;
+  ASSERT_EQ(copy.generation, original.generation);
+
+  const NodeId* copy_storage = storage(copy);
+  materializer.advance(mid, copy);
+  EXPECT_EQ(storage(copy), copy_storage) << "copy took a full rebuild";
+  EXPECT_NE(copy.generation, original.generation);
+  materializer.advance(next, copy);
+  expect_snapshots_identical(copy, snapshot_at(net, next), next);
+
+  const NodeId* original_storage = storage(original);
+  materializer.advance(next, original);
+  EXPECT_NE(storage(original), original_storage) << "original took a delta";
+  expect_snapshots_identical(original, snapshot_at(net, next), next);
+  EXPECT_NE(original.generation, copy.generation);
+}
+
 TEST(Timeline, AdvanceDetectsFreshSnapshotAtReusedAddress) {
   // A loop-local snapshot typically lands at the SAME stack address every
   // iteration, so the Materializer's identity check must not rely on the

@@ -230,7 +230,8 @@ constexpr SubcommandDoc kSubcommands[] = {
      "<time> is a day on the snapshot grid (bit-exact cache key; NaN is\n"
      "rejected) or the token `now` (the complete network here; the latest\n"
      "published epoch under `live`), ids are the dense SANv1 node ids, and\n"
-     "<k> must be > 0. Malformed lines fail the load with their line\n"
+     "<k> must be > 0 (and at most 64 for influence, whose greedy cost\n"
+     "grows with k). Malformed lines fail the load with their line\n"
      "number and the offending token (exit 1).\n"},
     {"listen",
      "san_tool listen FILE [--port P] [--start D] [--cache N] [--batch B]"

@@ -517,6 +517,19 @@ def test_listen_protocol_edges(tmp):
               got.startswith("ERR workload line 1:")
               and "live binding" in got, repr(got))
 
+        # An influence k past the cap rejects its line up front (greedy
+        # cost grows with k); the next line is answered normally.
+        got = sock_exchange(
+            port, b"influence now 65\ninfluence now 2\n").decode()
+        lines = got.splitlines()
+        check("edges: influence k over the cap -> ERR naming the limit",
+              len(lines) == 2
+              and lines[0] == ("ERR workload line 1: "
+                               "k '65' out of range (1..64)"), repr(got))
+        check("edges: line after over-cap influence still served",
+              len(lines) == 2 and lines[1].startswith("influence t=now k=2"),
+              repr(got))
+
     with listen_server(san, "--max-line-bytes", "256") as (proc, port):
         check("edges: small-line listen starts", port is not None)
         if port is not None:
