@@ -48,10 +48,12 @@ graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
     }
   }
 
-  std::vector<std::uint64_t> in_offsets = offsets;
+  // Symmetric: the in-adjacency is a copy of the out-adjacency.
+  std::vector<std::uint32_t> in_degree = degree;
   std::vector<NodeId> in_targets = targets;
   graph::CsrGraph topology;
-  topology.adopt_sorted_adjacency(n, offsets, targets, in_offsets, in_targets);
+  topology.adopt_adjacency(n, offsets, degree, targets, offsets, in_degree,
+                           in_targets);
   return topology;
 }
 

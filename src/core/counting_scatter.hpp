@@ -1,6 +1,5 @@
 // Chunk-parallel stable counting sort, the scatter engine shared by the
-// graph builders (graph/bipartite_csr.cpp, san/timeline.cpp, graph/csr.cpp
-// append path).
+// graph builders (graph/bipartite_csr.cpp, graph/csr.cpp append path).
 //
 // The scheme is two-level per-chunk cursors: phase one counts each chunk's
 // keys into a private histogram row, a serial transform turns the rows into
@@ -139,8 +138,8 @@ class StableCountingScatter {
 
   /// Phase-1 alternative: prepare to receive this pass's counts from a
   /// PRECEDING scatter (scatter_fused's hook) instead of a dedicated
-  /// counting pass — the rebuild-pipeline fusion that removes whole
-  /// passes from SanTimeline::build_social and BipartiteCsr rebuilds.
+  /// counting pass — the rebuild-pipeline fusion that removes a whole
+  /// pass from BipartiteCsr rebuilds.
   /// `m` is the item space the hook's positions index (a storage slot
   /// space for slack layouts); the grain is rounded to a power of two so
   /// fused_add maps positions to chunk rows with one shift.

@@ -36,7 +36,7 @@ void BipartiteCsr::rebuild_from_links(std::size_t left_count,
   // count (an invalid link doesn't emit, and a short total rejects the
   // input before any public state mutates), and the right-side scatter
   // feeds the left-side histograms through its hook, so the left count
-  // pass disappears — see san/timeline.cpp build_social for the scheme.
+  // pass disappears (scatter_fused in core/counting_scatter.hpp).
 
   // Right side: sort links by attribute, stable in input order, so
   // members_of(a) preserves the (time) order of the input links.

@@ -223,30 +223,6 @@ void CsrGraph::adopt_adjacency(std::size_t node_count,
   build_neighbor_view();
 }
 
-void CsrGraph::adopt_sorted_adjacency(std::size_t node_count,
-                                      std::vector<std::uint64_t>& out_offsets,
-                                      std::vector<NodeId>& out_targets,
-                                      std::vector<std::uint64_t>& in_offsets,
-                                      std::vector<NodeId>& in_targets) {
-  if (out_offsets.size() != node_count + 1 ||
-      in_offsets.size() != node_count + 1) {
-    throw std::invalid_argument("CsrGraph::adopt_sorted_adjacency: bad shape");
-  }
-  std::vector<std::uint32_t> out_len(node_count), in_len(node_count);
-  for (std::size_t u = 0; u < node_count; ++u) {
-    if (out_offsets[u + 1] < out_offsets[u] ||
-        in_offsets[u + 1] < in_offsets[u]) {
-      throw std::invalid_argument(
-          "CsrGraph::adopt_sorted_adjacency: offsets not monotone");
-    }
-    out_len[u] =
-        static_cast<std::uint32_t>(out_offsets[u + 1] - out_offsets[u]);
-    in_len[u] = static_cast<std::uint32_t>(in_offsets[u + 1] - in_offsets[u]);
-  }
-  adopt_adjacency(node_count, out_offsets, out_len, out_targets, in_offsets,
-                  in_len, in_targets);
-}
-
 bool CsrGraph::append_sorted_links(std::size_t new_node_count,
                                    std::span<const NodeId> srcs,
                                    std::span<const NodeId> dsts) {

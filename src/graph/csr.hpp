@@ -22,8 +22,8 @@
 //     by (src, dst) and build all three adjacency views in O(edges + nodes)
 //     with no comparison sort;
 //   - `adopt_adjacency` swaps in externally built length/target arrays (the
-//     SanTimeline fast path — big-buffer ping-pong, zero steady-state
-//     allocation);
+//     SanTimeline link-index filter, packed or slack — big-buffer ping-pong,
+//     zero steady-state allocation — and the apps/projection.cpp topology);
 //   - `append_sorted_links` merges a sorted batch of new edges into the
 //     per-node regions (chunk-parallel counting, per-node merges).
 //
@@ -83,15 +83,6 @@ class CsrGraph {
                        std::span<const std::uint64_t> in_offsets,
                        std::vector<std::uint32_t>& in_len,
                        std::vector<NodeId>& in_targets);
-
-  /// Dense-layout compatibility wrapper for adopt_adjacency: offsets must
-  /// be exact prefix sums (no slack); lengths are derived here. Target
-  /// vectors are swapped, offsets only read.
-  void adopt_sorted_adjacency(std::size_t node_count,
-                              std::vector<std::uint64_t>& out_offsets,
-                              std::vector<NodeId>& out_targets,
-                              std::vector<std::uint64_t>& in_offsets,
-                              std::vector<NodeId>& in_targets);
 
   /// Append a batch of new edges in place — the delta-sweep fast path. The
   /// batch must be sorted by (src, dst), free of self loops, and disjoint

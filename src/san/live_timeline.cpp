@@ -172,15 +172,14 @@ void LiveTimeline::publish_locked() {
     batches_since_publish_ = 0;
     return;
   }
-  // Recycle a retired epoch buffer no reader holds (slot + nothing else);
-  // the currently published buffer is pinned by the atomic itself. A new
-  // slot's first advance is a full slack build, later ones are deltas.
+  // Recycle an epoch buffer no handle references; the currently published
+  // one is pinned by the handle in the atomic itself. A buffer's last
+  // handle release-stores its idle flag, so this acquire load orders every
+  // reader's use of the old epoch before the advance below rewrites it. A
+  // new slot's first advance is a full slack build, later ones are deltas.
   EpochSlot* slot = nullptr;
   for (auto& candidate : slots_) {
-    if (candidate.buffer.use_count() == 1) {
-      // use_count() is a relaxed load: order the last reader's release
-      // of its handle before the advance below rewrites the buffer.
-      std::atomic_thread_fence(std::memory_order_acquire);
+    if (candidate.idle->load(std::memory_order_acquire)) {
       slot = &candidate;
       break;
     }
@@ -197,8 +196,15 @@ void LiveTimeline::publish_locked() {
   {
     obs::TraceSpan span("live.publish");
     obs::ScopedTimer timer(publish_ns_.get());
-    published_.store(std::shared_ptr<const SanSnapshot>(slot->buffer),
-                     std::memory_order_release);
+    // The handle co-owns the buffer and its flag, so one a reader holds
+    // past this LiveTimeline stays valid.
+    slot->idle->store(false);
+    std::shared_ptr<const SanSnapshot> handle(
+        slot->buffer.get(),
+        [buffer = slot->buffer, idle = slot->idle](const SanSnapshot*) {
+          idle->store(true, std::memory_order_release);
+        });
+    published_.store(std::move(handle), std::memory_order_release);
   }
   epoch_.store(stats_.epochs, std::memory_order_release);
   ++stats_.epochs;

@@ -35,9 +35,11 @@
 // one that waited for its endpoint id to exist (PR 4 activation) — are
 // legal but invalidate every epoch buffer's delta state, because they
 // land inside the already-applied region of the log: each buffer's next
-// advance is a full (slack-layout) rebuild. Links naming ids that do
-// not exist yet are held internally and activate on the first batch where
-// both endpoints exist.
+// advance is a full (slack-layout) rebuild, which filters the timeline's
+// link index — dropped by every absorb and rebuilt by the first full
+// rebuild after it, so batches that only append never pay for the index.
+// Links naming ids that do not exist yet are held internally and activate
+// on the first batch where both endpoints exist.
 #pragma once
 
 #include <atomic>
@@ -179,12 +181,17 @@ class LiveTimeline {
   const SocialAttributeNetwork& log() const { return log_; }
 
  private:
-  // An epoch buffer and the Materializer that last advanced it, so the
-  // next advance is a delta from that buffer's own epoch.
+  // An epoch buffer, the Materializer that last advanced it (so the next
+  // advance is a delta from that buffer's own epoch) and its idle flag:
+  // false while a published handle to the buffer lives, set by the last
+  // handle's deleter.
   struct EpochSlot {
     explicit EpochSlot(const SanTimeline& timeline)
-        : buffer(std::make_shared<SanSnapshot>()), materializer(timeline) {}
+        : buffer(std::make_shared<SanSnapshot>()),
+          idle(std::make_shared<std::atomic<bool>>(true)),
+          materializer(timeline) {}
     std::shared_ptr<SanSnapshot> buffer;
+    std::shared_ptr<std::atomic<bool>> idle;
     SanTimeline::Materializer materializer;
   };
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/counting_scatter.hpp"
 #include "core/parallel.hpp"
 #include "graph/slack.hpp"
 #include "obs/trace.hpp"
@@ -86,7 +85,7 @@ struct SanTimeline::AttrLinkBuffers {
   std::vector<std::pair<NodeId, AttrId>> deferred;
 };
 
-// Full-network link index behind the dense path: the out- and in-CSR of
+// Full-network link index behind every social build: the out- and in-CSR of
 // the whole social log. Node u's entries [off[u], off[u + 1]) are sorted by
 // neighbour id, and each carries its link's position in the time-sorted log,
 // so the snapshot at t is the entries with pos < edge_prefix(t) and
@@ -100,29 +99,31 @@ struct SanTimeline::LinkIndex {
   std::vector<Entry> out, in;
 };
 
-struct SanTimeline::Scratch {
-  // Slack social CSR build: shared counting-scatter engines plus the arrays
-  // handed to the snapshot's CsrGraph by buffer swap (adopt_adjacency), so
-  // full rebuilds ping-pong two buffer sets with zero steady-state
-  // allocation.
-  core::StableCountingScatter by_src, by_dst, by_rank;
-  std::vector<std::uint64_t> counts;
-  std::vector<NodeId> g_dst;  // src-major dst sequence, dense ranks
-  std::vector<std::uint64_t> out_off, in_off;  // storage starts (cap prefix)
+// Social CSR of one build, handed to the snapshot's CsrGraph by buffer swap
+// (adopt_adjacency): storage starts (dense prefix sums or the slack
+// layout's capacity prefix), live lengths and targets. A slack build keeps
+// them in its Scratch, so full rebuilds ping-pong two buffer sets with zero
+// steady-state allocation; it also keeps every dropped link (those activate
+// later, when their endpoint joins).
+struct SanTimeline::SocialBuffers {
+  std::vector<std::uint64_t> out_off, in_off;
   std::vector<std::uint32_t> out_len, in_len;
   std::vector<NodeId> out_targets, in_targets;
-  std::vector<std::uint64_t> dense_out, dense_in;  // dense rank prefixes
+  std::vector<std::pair<NodeId, NodeId>> deferred;
+};
+
+struct SanTimeline::Scratch {
+  SocialBuffers social;
   AttrLinkBuffers attr_links;
 
   // Delta-sweep state: the generation of the snapshot this scratch last
   // produced (kNoGeneration: none, the next advance rebuilds), the log
-  // prefixes it covers, and every logged social link it had to drop.
+  // prefixes it covers.
   std::uint64_t generation = kNoGeneration;
   std::size_t n_social = 0;
   std::size_t edge_prefix = 0;
   std::size_t link_prefix = 0;
   std::size_t created_prefix = 0;
-  std::vector<std::pair<NodeId, NodeId>> deferred_edges;
   // advance() working sets.
   std::vector<std::pair<NodeId, NodeId>> delta_edges;
   std::vector<NodeId> delta_src, delta_dst;
@@ -364,14 +365,16 @@ const SanTimeline::LinkIndex& SanTimeline::link_index() const {
   return *index_;
 }
 
-// Dense social layer: filter the link index. One chunk-parallel pass counts
-// each joined node's surviving entries per direction, a serial prefix sum
-// lays them out, and one chunk-parallel pass copies them — already sorted,
-// because each index list is. Per-node writes are disjoint, so the result
-// is byte-identical at any thread count.
+// Social layer: filter the link index. One chunk-parallel pass counts each
+// joined node's surviving entries per direction, a serial prefix sum lays
+// them out (packed, or with slack headroom per node so advance() can
+// append later days in place), and one chunk-parallel pass copies them —
+// already sorted, because each index list is. Per-node writes are
+// disjoint, so the result is byte-identical at any thread count.
 std::size_t SanTimeline::filter_social(std::size_t n_social,
                                        std::size_t edge_prefix,
-                                       SanSnapshot& snap) const {
+                                       SanSnapshot& snap, SocialBuffers& b,
+                                       bool slack) const {
   const LinkIndex& index = link_index();
   // Visits node u's surviving entries: neighbours < n_social form a prefix
   // of its sorted list.
@@ -385,148 +388,50 @@ std::size_t SanTimeline::filter_social(std::size_t n_social,
     }
   };
 
-  std::vector<std::uint32_t> out_len(n_social), in_len(n_social);
+  b.out_len.resize(n_social);
+  b.in_len.resize(n_social);
   core::parallel_for(n_social, [&](std::size_t u) {
     std::uint32_t out = 0, in = 0;
     for_each_kept(index.out_off, index.out, u, [&](NodeId) { ++out; });
     for_each_kept(index.in_off, index.in, u, [&](NodeId) { ++in; });
-    out_len[u] = out;
-    in_len[u] = in;
+    b.out_len[u] = out;
+    b.in_len[u] = in;
   });
-  std::vector<std::uint64_t> out_off(n_social + 1, 0), in_off(n_social + 1, 0);
+  const auto capacity = [&](std::uint32_t len) -> std::uint64_t {
+    return slack ? graph::slack_capacity(len) : len;
+  };
+  b.out_off.assign(n_social + 1, 0);
+  b.in_off.assign(n_social + 1, 0);
+  std::size_t kept = 0;
   for (std::size_t u = 0; u < n_social; ++u) {
-    out_off[u + 1] = out_off[u] + out_len[u];
-    in_off[u + 1] = in_off[u] + in_len[u];
+    b.out_off[u + 1] = b.out_off[u] + capacity(b.out_len[u]);
+    b.in_off[u + 1] = b.in_off[u] + capacity(b.in_len[u]);
+    kept += b.out_len[u];
   }
-  std::vector<NodeId> out_targets(out_off[n_social]);
-  std::vector<NodeId> in_targets(in_off[n_social]);
+  b.out_targets.resize(b.out_off[n_social]);
+  b.in_targets.resize(b.in_off[n_social]);
   core::parallel_for(n_social, [&](std::size_t u) {
-    NodeId* out = out_targets.data() + out_off[u];
-    NodeId* in = in_targets.data() + in_off[u];
+    NodeId* out = b.out_targets.data() + b.out_off[u];
+    NodeId* in = b.in_targets.data() + b.in_off[u];
     for_each_kept(index.out_off, index.out, u, [&](NodeId v) { *out++ = v; });
     for_each_kept(index.in_off, index.in, u, [&](NodeId v) { *in++ = v; });
   });
-  const std::size_t kept = out_targets.size();
-  snap.social.adopt_adjacency(n_social, out_off, out_len, out_targets, in_off,
-                              in_len, in_targets);
-  return edge_prefix - kept;
-}
+  snap.social.adopt_adjacency(n_social, b.out_off, b.out_len, b.out_targets,
+                              b.in_off, b.in_len, b.in_targets);
 
-// Slack social layer: radix-order the <= t slice into the final out/in CSR
-// arrays with chunk-parallel stable counting sorts
-// (core/counting_scatter.hpp) — O(prefix + nodes), no comparison sort, no
-// dedup branches (the network rejects duplicate and self links at insert
-// time). Every node gets slack headroom so advance() can append later
-// days in place.
-//
-// The pipeline is FUSED to four passes over the data: the validity filter
-// rides inside the src count (invalid links simply don't emit — both
-// phases of a counting sort tolerate filtered sequences as long as they
-// agree), and each scatter feeds the NEXT sort's chunk histograms through
-// scatter_fused's hook at the moment it knows an item's output position,
-// so the standalone count passes P2 and P3 used to pay disappear. The
-// last sort therefore works in the in-adjacency's STORAGE slot space
-// (positions are all a fused count sees); ascending storage order equals
-// ascending (dst, src) order, so stable ranks — and every output byte —
-// are identical to the unfused pipeline.
-std::size_t SanTimeline::build_social(std::size_t n_social,
-                                      std::size_t edge_prefix,
-                                      SanSnapshot& snap, Scratch& s) const {
-  s.deferred_edges.clear();
-  const NodeId* log_src = edge_src_.data();
-  const NodeId* log_dst = edge_dst_.data();
-  const auto valid = [&](std::size_t i) {
-    return log_src[i] < n_social && log_dst[i] < n_social;
-  };
-
-  const auto layout = [&](std::vector<std::uint32_t>& len,
-                          std::vector<std::uint64_t>& off,
-                          std::vector<std::uint64_t>& dense) {
-    len.assign(n_social, 0);
-    off.assign(n_social + 1, 0);
-    dense.assign(n_social + 1, 0);
-    for (std::size_t u = 0; u < n_social; ++u) {
-      len[u] = static_cast<std::uint32_t>(s.counts[u]);
-      off[u + 1] = off[u] + graph::slack_capacity(s.counts[u]);
-      dense[u + 1] = dense[u] + s.counts[u];
-    }
-  };
-
-  // P1: count by src over the RAW slice, filtering as it counts (a link
-  // whose endpoint hasn't joined yet doesn't emit). The common case drops
-  // nothing; when something was dropped, one serial sweep collects the
-  // deferred links (they activate when their endpoint arrives).
-  s.by_src.count(
-      edge_prefix, n_social,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (valid(i)) emit(log_src[i]);
+  // The common case drops nothing; otherwise one serial sweep collects the
+  // links whose endpoint has not joined yet, in log order.
+  if (slack) {
+    b.deferred.clear();
+    if (kept < edge_prefix) {
+      for (std::size_t i = 0; i < edge_prefix; ++i) {
+        if (edge_src_[i] >= n_social || edge_dst_[i] >= n_social) {
+          b.deferred.emplace_back(edge_src_[i], edge_dst_[i]);
         }
-      },
-      s.counts);
-  layout(s.out_len, s.out_off, s.dense_out);
-  const std::size_t m = s.dense_out[n_social];
-  if (m < edge_prefix) {
-    for (std::size_t i = 0; i < edge_prefix; ++i) {
-      if (!valid(i)) s.deferred_edges.emplace_back(log_src[i], log_dst[i]);
+      }
     }
   }
-
-  // P1 scatter: the slice lands src-major as a dense dst sequence (the
-  // source of rank i is recovered from the dense prefix while walking),
-  // and the hook counts each landed dst into P2's chunk histograms.
-  s.g_dst.resize(m);
-  s.by_dst.begin_fused_count(m, n_social);
-  s.by_src.scatter_fused(
-      std::span<const std::uint64_t>(s.dense_out.data(), n_social),
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (valid(i)) emit(log_src[i], log_dst[i]);
-        }
-      },
-      s.g_dst.data(),
-      [&](std::uint64_t pos, NodeId dst) { s.by_dst.fused_add(pos, dst); });
-  s.by_dst.finish_fused_count(s.counts);
-  layout(s.in_len, s.in_off, s.dense_in);
-
-  // P2 scatter: src-major order by dst — sources arrive ascending per
-  // target, which IS the final in-adjacency (written at the slack
-  // layout's storage starts). The hook counts each landed source into
-  // P3's histograms, keyed by the STORAGE slot it landed in.
-  const auto src_major = [&](std::size_t begin, std::size_t end, auto&& fn) {
-    // start == dense: the src-major intermediate is packed, so pos == rank.
-    core::walk_keyed_regions(s.dense_out, s.dense_out, begin, end, fn);
-  };
-  s.in_targets.resize(s.in_off.back());
-  s.by_rank.begin_fused_count(s.in_off.back(), n_social);
-  s.by_dst.scatter_fused(
-      std::span<const std::uint64_t>(s.in_off.data(), n_social),
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        src_major(begin, end,
-                  [&](std::size_t i, NodeId u) { emit(s.g_dst[i], u); });
-      },
-      s.in_targets.data(),
-      [&](std::uint64_t pos, NodeId u) { s.by_rank.fused_add(pos, u); });
-
-  // P3 scatter: walk the in-adjacency's live storage slots (dead slack
-  // skipped region-by-region; the per-src totals were already known at
-  // P1, so no finish_fused_count) and scatter by source — targets arrive
-  // ascending per source, the final out-adjacency.
-  s.out_targets.resize(s.out_off.back());
-  s.by_rank.scatter(
-      std::span<const std::uint64_t>(s.out_off.data(), n_social),
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        core::walk_slack_slots(
-            std::span<const std::uint64_t>(s.in_off.data(), n_social),
-            s.in_len, begin, end, [&](std::uint64_t pos, std::size_t d) {
-              emit(s.in_targets[pos], static_cast<NodeId>(d));
-            });
-      },
-      s.out_targets.data());
-
-  snap.social.adopt_adjacency(n_social, s.out_off, s.out_len, s.out_targets,
-                              s.in_off, s.in_len, s.in_targets);
-  return s.deferred_edges.size();
+  return edge_prefix - kept;
 }
 
 // Attribute links: the prefix is already in stable time order, so a
@@ -560,9 +465,10 @@ void SanTimeline::materialize(double time, SanSnapshot& snap,
 
   const std::size_t n_social = prefix_at(social_node_times_, time);
   const std::size_t edge_prefix = prefix_at(edge_time_, time);
+  SocialBuffers dense_social;
   const std::size_t dropped_edges =
-      slack ? build_social(n_social, edge_prefix, snap, *slack)
-            : filter_social(n_social, edge_prefix, snap);
+      filter_social(n_social, edge_prefix, snap,
+                    slack ? slack->social : dense_social, slack != nullptr);
 
   // Attribute nodes created by t; ids stay dense and aligned.
   const std::size_t n_attr = attr_times_.size();
@@ -618,20 +524,20 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   // ---- Social graph: activated deferred links + the (t, t'] slice are
   // one sorted batch appended into the per-node slack. ----
   s.delta_edges.clear();
-  if (n_new > s.n_social && !s.deferred_edges.empty()) {
+  if (n_new > s.n_social && !s.social.deferred.empty()) {
     std::size_t w = 0;
-    for (const auto& e : s.deferred_edges) {
+    for (const auto& e : s.social.deferred) {
       if (e.first < n_new && e.second < n_new) {
         s.delta_edges.push_back(e);  // endpoint joined: the link activates
       } else {
-        s.deferred_edges[w++] = e;
+        s.social.deferred[w++] = e;
       }
     }
-    s.deferred_edges.resize(w);
+    s.social.deferred.resize(w);
   }
   for (std::size_t i = s.edge_prefix; i < edge_prefix_new; ++i) {
     if (edge_src_[i] >= n_new || edge_dst_[i] >= n_new) {
-      s.deferred_edges.emplace_back(edge_src_[i], edge_dst_[i]);
+      s.social.deferred.emplace_back(edge_src_[i], edge_dst_[i]);
     } else {
       s.delta_edges.emplace_back(edge_src_[i], edge_dst_[i]);
     }
@@ -647,7 +553,7 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
     if (!snap.social.append_sorted_links(n_new, s.delta_src, s.delta_dst)) {
       // Slack exhausted somewhere: full rebuild re-reserves against the
       // grown degrees (amortized-doubling, so this stays rare).
-      build_social(n_new, edge_prefix_new, snap, s);
+      filter_social(n_new, edge_prefix_new, snap, s.social, /*slack=*/true);
     }
   }
 
@@ -696,7 +602,7 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
 
   snap.attribute_link_count = snap.attribute.link_count();
   snap.dropped_link_count =
-      s.deferred_edges.size() + s.attr_links.deferred.size();
+      s.social.deferred.size() + s.attr_links.deferred.size();
   snap.time = time;
   s.generation = snap.generation;
   s.n_social = n_new;

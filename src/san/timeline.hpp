@@ -5,37 +5,32 @@
 // Cost model:
 //   - construction: both link logs are stably time-sorted ONCE into
 //     columnar arrays (O(E log E) total, the only comparison sort);
-//   - snapshot_at(t): a sequential filter over a full-network link index
-//     — the out- and in-CSR of the whole social log, each entry tagged
-//     with its link's position in the time-sorted log. The snapshot keeps
-//     exactly the entries whose position is inside the <= t prefix and
-//     whose neighbour has joined by t, in index order: one chunk-parallel
-//     count pass, a serial prefix sum and one chunk-parallel copy pass,
-//     O(index entries of the nodes joined by t). The index itself is built
-//     serially on the first dense snapshot, once — O(links + nodes), no
-//     comparison sort — and dropped by absorb();
+//   - the link index: the out- and in-CSR of the whole social log, each
+//     entry tagged with its link's position in the time-sorted log. Built
+//     serially on the first social build, once — O(links + nodes), no
+//     comparison sort — and dropped by absorb(), so a growing timeline
+//     rebuilds it lazily on its next full build;
+//   - snapshot_at(t): a sequential filter over the link index. The
+//     snapshot keeps exactly the entries whose position is inside the
+//     <= t prefix and whose neighbour has joined by t, in index order: one
+//     chunk-parallel count pass, a serial prefix sum and one
+//     chunk-parallel copy pass, O(index entries of the nodes joined by t);
 //   - advance(snapshot, t'): build the snapshot at t' FROM its state at
 //     t <= t' by appending only the (t, t'] log slice into per-node
 //     adjacency slack (graph/slack.hpp) — O(new links + nodes) per day,
-//     falling back to a full O(prefix) radix rebuild of the slack layout
-//     when slack is exhausted or a previously dropped link activates;
+//     falling back to a full rebuild when slack is exhausted or a
+//     previously dropped link activates. That rebuild is the same filter,
+//     laid out with slack headroom per node, plus one serial O(prefix)
+//     sweep collecting the dropped links when any were dropped;
 //   - sweep(times, visit): advance one snapshot through the grid, reusing
 //     one scratch set, so a whole replay costs O(total links) amortized
 //     instead of O(sum of prefixes) and the steady state allocates nothing.
 //
-// The dense path filters instead of running the slack path's radix
-// pipeline because that pipeline's chunked counting scatters pay a
-// chunks x nodes cursor matrix per pass plus relaxed-atomic fused adds: on
-// a 60k-node, 823k-link network it runs slower at 2 lanes than at 1
-// (about 37-41 ms against 24 ms per day on a 4-core host), where the
-// filter takes about 9-10 ms at 2 lanes and 14-17 ms at 1.
-//
 // Results are bit-identical to the naive san::snapshot_at at every time and
 // at any SAN_THREADS count: the stable time order fixes members_of
 // ordering, the index keeps each node's neighbours sorted so the filtered
-// lists come out sorted, the chunked counting sorts of the slack path use
-// thread-count-independent grains (core/counting_scatter.hpp), and the
-// per-node phases write disjoint ranges (see core/parallel.hpp).
+// lists come out sorted, and the per-node phases write disjoint ranges
+// (see core/parallel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +47,7 @@ namespace san {
 class SanTimeline {
  private:
   struct Scratch;
+  struct SocialBuffers;
   struct AttrLinkBuffers;
   struct LinkIndex;
 
@@ -62,9 +58,9 @@ class SanTimeline {
   ~SanTimeline();
 
   /// Delta-sweep state: one Materializer + one SanSnapshot advance a
-  /// snapshot day to day allocation-free in the steady state (sweep() and
-  /// the live ingest engines hold one each). Not thread-safe; the timeline
-  /// it borrows must outlive it.
+  /// snapshot day to day allocation-free in the steady state (sweep()
+  /// holds one, LiveTimeline one per epoch buffer). Not thread-safe; the
+  /// timeline it borrows must outlive it.
   class Materializer {
    public:
     explicit Materializer(const SanTimeline& timeline);
@@ -78,7 +74,9 @@ class SanTimeline {
     /// Materializer last stamped, `time` regresses, per-node slack is
     /// exhausted, or a previously dropped link activates (its endpoint
     /// joined, which belongs mid-list in members_of time order). Either
-    /// way the result is bit-identical to snapshot_at(time).
+    /// way the result is bit-identical to snapshot_at(time). A full
+    /// rebuild filters the link index (built first if absorb() dropped
+    /// it), so it throws std::length_error like snapshot_at.
     void advance(double time, SanSnapshot& snap);
 
     /// Drop the delta state so the next advance() performs a full
@@ -113,7 +111,8 @@ class SanTimeline {
   /// and gives historical readers a separate frozen index for exactly that
   /// reason. Absorbing events at or before a Materializer's last-produced
   /// time additionally requires invalidating that Materializer. It also
-  /// drops the link index; the next snapshot_at rebuilds it.
+  /// drops the link index; the next snapshot_at or full advance() rebuild
+  /// builds it again.
   void absorb(const SocialAttributeNetwork& network);
 
   /// Dense snapshot at time t, filtered from the full-network link index
@@ -136,20 +135,19 @@ class SanTimeline {
       const std::function<void(double, const SanSnapshot&)>& visit) const;
 
  private:
-  /// Rebuild `snap` as of `time`: densely packed from the link index when
-  /// `slack` is null, else in the advance-ready slack layout through the
-  /// radix pipeline, recording the delta state in `*slack`.
+  /// Rebuild `snap` as of `time` from the link index: densely packed when
+  /// `slack` is null, else in the advance-ready slack layout, recording
+  /// the delta state in `*slack`.
   void materialize(double time, SanSnapshot& snap, Scratch* slack) const;
   void advance(double time, SanSnapshot& snap, Scratch& s) const;
   /// The link index, built on first use under index_mutex_.
   const LinkIndex& link_index() const;
-  /// Dense social layer from the link index; returns the dropped count.
+  /// Social layer filtered from the link index through `buffers`, packed
+  /// or (`slack`) in the slack layout with the dropped links kept in
+  /// buffers.deferred; returns the dropped count.
   std::size_t filter_social(std::size_t n_social, std::size_t edge_prefix,
-                            SanSnapshot& snap) const;
-  /// Slack social layer through the radix pipeline; returns the dropped
-  /// count (the links themselves are kept in s.deferred_edges).
-  std::size_t build_social(std::size_t n_social, std::size_t edge_prefix,
-                           SanSnapshot& snap, Scratch& s) const;
+                            SanSnapshot& snap, SocialBuffers& buffers,
+                            bool slack) const;
   void build_attribute_links(std::size_t n_social, std::size_t link_prefix,
                              SanSnapshot& snap, AttrLinkBuffers& buffers,
                              bool slack) const;
@@ -170,7 +168,7 @@ class SanTimeline {
   std::vector<double> attr_sorted_times_;
   double max_time_ = 0.0;
 
-  // Lazily built link index behind the dense path; absorb() drops it.
+  // Lazily built link index behind every social build; absorb() drops it.
   mutable std::mutex index_mutex_;
   mutable std::unique_ptr<const LinkIndex> index_;
 

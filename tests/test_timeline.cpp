@@ -274,6 +274,56 @@ TEST(Timeline, RacingFirstSnapshotsBuildTheIndexOnce) {
   }
 }
 
+TEST(Timeline, FullRebuildsAfterAbsorbFilterAFreshIndex) {
+  // Both full-rebuild triggers of advance() on a timeline that absorbed
+  // since its link index was built: slack exhaustion after in-order
+  // absorbs, and invalidate() after a late one. Each rebuild must filter a
+  // fresh index (exactly one "timeline.index" span) and match the naive
+  // snapshot; a stale index would miss the absorbed links. The node set
+  // never grows, so a stale index stays in range and fails by content.
+  SocialAttributeNetwork net;
+  for (int i = 0; i < 40; ++i) net.add_social_node(1.0);
+  for (NodeId v = 1; v <= 8; ++v) ASSERT_TRUE(net.add_social_link(0, v, 1.0));
+  const auto add_links_from_0 = [&](NodeId first, NodeId last, double t) {
+    for (NodeId v = first; v <= last; ++v) {
+      ASSERT_TRUE(net.add_social_link(0, v, t));
+    }
+  };
+  SanTimeline timeline(net);
+  SanTimeline::Materializer materializer(timeline);
+  SanSnapshot snap;
+  san::obs::set_tracing_enabled(true);
+  const auto index_builds_during_advance = [&](double t) {
+    const std::uint64_t before = san::obs::span_count();
+    materializer.advance(t, snap);
+    return san::obs::span_count() - before;
+  };
+  EXPECT_EQ(index_builds_during_advance(1.0), 1u);  // first: slack build
+  expect_snapshots_identical(snap, snapshot_at(net, 1.0), 1.0);
+
+  // Node 0 holds 8 out-links in a 16-slot region. Nine more relocate it
+  // (16 stranded slots against 17 live links): still a delta.
+  add_links_from_0(9, 17, 2.0);
+  timeline.absorb(net);
+  EXPECT_EQ(index_builds_during_advance(2.0), 0u);
+  expect_snapshots_identical(snap, snapshot_at(net, 2.0), 2.0);
+
+  // Eighteen more overflow its 34-slot region again, which would strand
+  // 16 + 34 slots against 35 live links: append refuses, advance rebuilds.
+  add_links_from_0(18, 35, 3.0);
+  timeline.absorb(net);
+  EXPECT_EQ(index_builds_during_advance(3.0), 1u);
+  expect_snapshots_identical(snap, snapshot_at(net, 3.0), 3.0);
+
+  // A late link lands inside the applied region: invalidate, rebuild.
+  ASSERT_TRUE(net.add_social_link(5, 6, 1.5));
+  timeline.absorb(net);
+  materializer.invalidate();
+  EXPECT_EQ(index_builds_during_advance(3.0), 1u);
+  expect_snapshots_identical(snap, snapshot_at(net, 3.0), 3.0);
+  san::obs::set_tracing_enabled(false);
+}
+
 // ---- Delta sweep (Materializer::advance). ----
 
 TEST(Timeline, AdvanceMatchesNaiveDayByDay) {
