@@ -5,8 +5,11 @@
 //
 // Each (kernel, threads) cell is the median of kReps timed runs, with the
 // spread (max - min) / median printed beside it: one timing of a small
-// kernel swings by 2x on a shared host. Every run, not only the first,
-// must match the single-thread metrics.
+// kernel swings by 2x on a shared host. Each of the kReps rounds runs every
+// thread count once, in turn (1, 2, 4, 8, then 1, 2, ...), so host drift
+// over the minutes-long sweep spreads across all columns instead of
+// landing on one. Every run, not only the first, must match the
+// single-thread metrics.
 //
 // Scale with SAN_SCALING_EDGES; thread sweep is fixed at 1/2/4/8 capped by
 // SAN_SCALING_MAX_THREADS if set. `--json OUT` writes the single-thread
@@ -171,26 +174,35 @@ int main(int argc, char** argv) {
   constexpr double TimedRun::* kFields[] = {
       &TimedRun::clustering_s, &TimedRun::wcc_s, &TimedRun::metrics_s,
       &TimedRun::anf_s};
+  std::vector<std::size_t> sweep;
+  for (const std::size_t t : {1UL, 2UL, 4UL, 8UL}) {
+    if (t <= max_threads) sweep.push_back(t);
+  }
+  std::vector<std::vector<TimedRun>> runs(sweep.size());
+  std::vector<bool> same(sweep.size(), true);
   KernelResults base_results;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    for (std::size_t ti = 0; ti < sweep.size(); ++ti) {
+      san::core::set_thread_count(sweep[ti]);
+      runs[ti].push_back(run_kernels(g));
+      if (ti == 0 && rep == 0) base_results = runs[0].front().results;
+      same[ti] = same[ti] && identical(runs[ti].back().results, base_results);
+    }
+  }
+
   Cell base[4];
   bool all_identical = true;
-  for (const std::size_t t : {1UL, 2UL, 4UL, 8UL}) {
-    if (t > max_threads) break;
-    san::core::set_thread_count(t);
-    std::vector<TimedRun> runs;
-    bool same = true;
-    for (std::size_t rep = 0; rep < kReps; ++rep) {
-      runs.push_back(run_kernels(g));
-      if (t == 1 && rep == 0) base_results = runs.front().results;
-      same = same && identical(runs.back().results, base_results);
-    }
-    all_identical = all_identical && same;
+  for (std::size_t ti = 0; ti < sweep.size(); ++ti) {
+    const std::size_t t = sweep[ti];
+    all_identical = all_identical && same[ti];
     Cell cell[4];
-    for (std::size_t k = 0; k < 4; ++k) cell[k] = summarize(runs, kFields[k]);
+    for (std::size_t k = 0; k < 4; ++k) {
+      cell[k] = summarize(runs[ti], kFields[k]);
+    }
     if (t == 1) std::copy(cell, cell + 4, base);
     std::printf("%-8zu %-12.3f %-12.3f %-12.3f %-12.3f %-10s", t,
                 cell[0].median_s, cell[1].median_s, cell[2].median_s,
-                cell[3].median_s, t == 1 ? "-" : same ? "yes" : "NO");
+                cell[3].median_s, t == 1 ? "-" : same[ti] ? "yes" : "NO");
     if (t > 1) {
       std::printf("  (speedup cc=%.2fx wcc=%.2fx metrics=%.2fx anf=%.2fx)",
                   base[0].median_s / cell[0].median_s,

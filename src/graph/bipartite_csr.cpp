@@ -8,6 +8,28 @@
 #include "graph/slack.hpp"
 
 namespace san::graph {
+namespace {
+
+/// Lay per-node regions out back to back from their live lengths: each
+/// node reserves its length, or slack_capacity(length) slots `with_slack`.
+/// Returns the storage size.
+std::uint64_t lay_out_regions(std::span<const std::uint32_t> len,
+                              std::vector<std::uint64_t>& start,
+                              std::vector<std::uint32_t>& cap,
+                              bool with_slack) {
+  start.resize(len.size());
+  cap.resize(len.size());
+  std::uint64_t tail = 0;
+  for (std::size_t i = 0; i < len.size(); ++i) {
+    start[i] = tail;
+    cap[i] = static_cast<std::uint32_t>(with_slack ? slack_capacity(len[i])
+                                                   : len[i]);
+    tail += cap[i];
+  }
+  return tail;
+}
+
+}  // namespace
 
 BipartiteCsr BipartiteCsr::from_links(std::size_t left_count,
                                       std::size_t right_count,
@@ -27,96 +49,44 @@ void BipartiteCsr::rebuild_from_links(std::size_t left_count,
     throw std::invalid_argument("BipartiteCsr: users/attrs size mismatch");
   }
   const std::size_t m = users.size();
-
-  // Both sides are stable counting sorts on the shared chunk-parallel
-  // engine (core/counting_scatter.hpp): chunks scatter concurrently into
-  // disjoint slots while the result stays byte-identical to the serial
-  // stable sort (earlier input positions land first). The pipeline is
-  // fused to three passes: endpoint validation rides inside the attribute
-  // count (an invalid link doesn't emit, and a short total rejects the
-  // input before any public state mutates), and the right-side scatter
-  // feeds the left-side histograms through its hook, so the left count
-  // pass disappears (scatter_fused in core/counting_scatter.hpp).
-
-  // Right side: sort links by attribute, stable in input order, so
-  // members_of(a) preserves the (time) order of the input links.
-  by_attr_.count(
-      m, right_count,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (users[i] < left_count && attrs[i] < right_count) {
-            emit(attrs[i]);
-          }
-        }
-      },
-      counts_);
-  std::uint64_t valid = 0;
-  for (std::size_t a = 0; a < right_count; ++a) valid += counts_[a];
-  if (valid < m) {
-    throw std::out_of_range("BipartiteCsr: link endpoint out of range");
+  for (std::size_t i = 0; i < m; ++i) {
+    if (users[i] >= left_count || attrs[i] >= right_count) {
+      throw std::out_of_range("BipartiteCsr: link endpoint out of range");
+    }
   }
   left_count_ = left_count;
   right_count_ = right_count;
   link_count_ = m;
   left_waste_ = 0;
   right_waste_ = 0;
-  right_start_.resize(right_count);
-  right_cap_.resize(right_count);
-  right_len_.resize(right_count);
-  dense_right_.assign(right_count + 1, 0);
-  {
-    std::uint64_t tail = 0;
-    for (std::size_t a = 0; a < right_count; ++a) {
-      right_start_[a] = tail;
-      right_len_[a] = static_cast<std::uint32_t>(counts_[a]);
-      right_cap_[a] = static_cast<std::uint32_t>(
-          with_slack ? slack_capacity(counts_[a]) : counts_[a]);
-      tail += right_cap_[a];
-      dense_right_[a + 1] = dense_right_[a] + counts_[a];
-    }
-    right_targets_.resize(tail);
+  right_len_.assign(right_count, 0);
+  left_len_.assign(left_count, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    ++right_len_[attrs[i]];
+    ++left_len_[users[i]];
   }
-  // The hook counts each landed user into the left sort's histograms,
-  // keyed by the storage slot the link landed in.
-  by_user_.begin_fused_count(right_targets_.size(), left_count);
-  by_attr_.scatter_fused(
-      right_start_,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(attrs[i], users[i]);
-      },
-      right_targets_.data(),
-      [&](std::uint64_t pos, NodeId u) { by_user_.fused_add(pos, u); });
+  right_targets_.resize(
+      lay_out_regions(right_len_, right_start_, right_cap_, with_slack));
+  left_targets_.resize(
+      lay_out_regions(left_len_, left_start_, left_cap_, with_slack));
 
-  // Left side from the right side: walking the attr-major storage slots
-  // in ascending order (== ascending attribute order; dead slack skipped
-  // region-by-region) and scattering by user yields per-user attribute
-  // lists already sorted ascending — a second counting sort instead of a
-  // per-user sort.
-  by_user_.finish_fused_count(counts_);
-  left_start_.resize(left_count);
-  left_cap_.resize(left_count);
-  left_len_.resize(left_count);
-  {
-    std::uint64_t tail = 0;
-    for (std::size_t u = 0; u < left_count; ++u) {
-      left_start_[u] = tail;
-      left_len_[u] = static_cast<std::uint32_t>(counts_[u]);
-      left_cap_[u] = static_cast<std::uint32_t>(
-          with_slack ? slack_capacity(counts_[u]) : counts_[u]);
-      tail += left_cap_[u];
-    }
-    left_targets_.resize(tail);
+  // Both sides are stable counting sorts. Right side: bucket the links by
+  // attribute in input order, so members_of(a) keeps the (time) order of
+  // the input links.
+  cursor_.assign(right_start_.begin(), right_start_.end());
+  for (std::size_t i = 0; i < m; ++i) {
+    right_targets_[cursor_[attrs[i]]++] = users[i];
   }
-  by_user_.scatter(
-      left_start_,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        core::walk_slack_slots(
-            right_start_, right_len_, begin, end,
-            [&](std::uint64_t pos, std::size_t a) {
-              emit(right_targets_[pos], static_cast<AttrId>(a));
-            });
-      },
-      left_targets_.data());
+  // Left side from the right side: walking attributes in ascending order
+  // and bucketing their members by user yields per-user attribute lists
+  // already sorted ascending — no per-user sort.
+  cursor_.assign(left_start_.begin(), left_start_.end());
+  for (std::size_t a = 0; a < right_count; ++a) {
+    const NodeId* members = right_targets_.data() + right_start_[a];
+    for (std::uint32_t j = 0; j < right_len_[a]; ++j) {
+      left_targets_[cursor_[members[j]]++] = static_cast<AttrId>(a);
+    }
+  }
 }
 
 bool BipartiteCsr::append_links(std::size_t new_left_count,
@@ -133,37 +103,19 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
   const std::size_t m = users.size();
   const std::size_t old_left = left_count_;
   const std::size_t old_right = right_count_;
-  const std::size_t bad = core::parallel_reduce(
-      m, std::size_t{0},
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::size_t count = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (users[i] >= new_left_count || attrs[i] >= new_right_count) {
-            ++count;
-          }
-        }
-        return count;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; },
-      core::kScatterGrain);
-  if (bad > 0) {
-    throw std::out_of_range(
-        "BipartiteCsr::append_links: link endpoint out of range");
-  }
 
-  // Chunk-parallel counts of the new links per endpoint.
-  by_attr_.count(
-      m, new_right_count,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(attrs[i]);
-      },
-      counts_);
-  by_user_.count(
-      m, new_left_count,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(users[i]);
-      },
-      add_left_);
+  // Counts of the new links per endpoint; an out-of-range endpoint throws
+  // before any public state mutates (only the scratch counts are written).
+  add_right_.assign(new_right_count, 0);
+  add_left_.assign(new_left_count, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (users[i] >= new_left_count || attrs[i] >= new_right_count) {
+      throw std::out_of_range(
+          "BipartiteCsr::append_links: link endpoint out of range");
+    }
+    ++add_right_[attrs[i]];
+    ++add_left_[users[i]];
+  }
 
   // Waste policy check BEFORE any mutation: relocating every overflowing
   // region must not strand more dead slots than there are live links —
@@ -171,7 +123,7 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
   // the structure untouched for the caller.
   std::uint64_t left_hole = 0, right_hole = 0;
   for (std::size_t a = 0; a < old_right; ++a) {
-    if (counts_[a] > 0 && right_len_[a] + counts_[a] > right_cap_[a]) {
+    if (add_right_[a] > 0 && right_len_[a] + add_right_[a] > right_cap_[a]) {
       right_hole += right_cap_[a];
     }
   }
@@ -189,13 +141,11 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
   }
 
   // Right side: plan relocations serially (ascending id, deterministic
-  // tail), copy relocated member lists, then stable-scatter the batch by
-  // attribute so each list's new members land AFTER its live entries —
-  // input (time) order is preserved under the append contract.
+  // tail), copy relocated member lists, then bucket the batch by attribute
+  // behind each list's live entries — input (time) order is preserved
+  // under the append contract.
   reloc_right_.clear();
   reloc_right_old_.clear();
-  base_.assign(new_right_count, 0);
-  dense_right_.assign(new_right_count + 1, 0);
   right_start_.resize(new_right_count, 0);
   right_cap_.resize(new_right_count, 0);
   right_len_.resize(new_right_count, 0);
@@ -206,20 +156,18 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
         // Joining right node: fresh slack region at the tail, no waste.
         right_start_[a] = tail;
         right_cap_[a] = static_cast<std::uint32_t>(
-            counts_[a] > 0 ? slack_capacity(counts_[a]) : 0);
+            add_right_[a] > 0 ? slack_capacity(add_right_[a]) : 0);
         tail += right_cap_[a];
-      } else if (counts_[a] > 0 &&
-                 right_len_[a] + counts_[a] > right_cap_[a]) {
+      } else if (add_right_[a] > 0 &&
+                 right_len_[a] + add_right_[a] > right_cap_[a]) {
         reloc_right_.push_back(static_cast<AttrId>(a));
         reloc_right_old_.push_back(right_start_[a]);
         right_waste_ += right_cap_[a];
         right_start_[a] = tail;
         right_cap_[a] = static_cast<std::uint32_t>(
-            slack_capacity(right_len_[a] + counts_[a]));
+            slack_capacity(right_len_[a] + add_right_[a]));
         tail += right_cap_[a];
       }
-      base_[a] = right_start_[a] + right_len_[a];
-      dense_right_[a + 1] = dense_right_[a] + counts_[a];
     }
     right_targets_.resize(tail);
   }
@@ -230,20 +178,13 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
     std::copy(old, old + right_len_[a],
               right_targets_.data() + right_start_[a]);
   });
-  by_attr_.scatter(
-      base_,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(attrs[i], users[i]);
-      },
-      right_targets_.data());
-  for (std::size_t a = 0; a < new_right_count; ++a) {
-    right_len_[a] += static_cast<std::uint32_t>(counts_[a]);
+  for (std::size_t i = 0; i < m; ++i) {
+    const AttrId a = attrs[i];
+    right_targets_[right_start_[a] + right_len_[a]++] = users[i];
   }
 
   // Left side: joining users get fresh tail regions; overflowing users are
-  // relocated. The batch is walked attr-major (ascending attribute) and
-  // scattered by user into dense per-user runs — each run is the user's
-  // new attribute ids sorted ascending, ready for one merge per node.
+  // relocated.
   left_start_.resize(new_left_count, 0);
   left_cap_.resize(new_left_count, 0);
   left_len_.resize(new_left_count, 0);
@@ -271,40 +212,30 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
   }
   left_count_ = new_left_count;
 
-  // The batch's attr-major walk: new ranks live in the freshly appended
-  // right segments, addressed by base_ and the batch's dense rank prefix.
-  const auto attr_major = [&](std::size_t begin, std::size_t end, auto&& fn) {
-    core::walk_keyed_regions(dense_right_, base_, begin, end, fn);
-  };
-  by_user_.count(
-      m, new_left_count,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        attr_major(begin, end, [&](std::uint64_t pos, AttrId) {
-          emit(right_targets_[pos]);
-        });
-      },
-      add_left_);
-  delta_left_base_.assign(new_left_count, 0);
+  // The batch's new attribute ids per user, in dense per-user runs:
+  // walking the freshly appended per-attribute segments in ascending
+  // attribute order fills each run sorted ascending, ready for one merge
+  // per node. Each cursor advances from its run's start to its end.
+  cursor_.resize(new_left_count);
   {
-    std::uint64_t running = 0;
+    std::uint64_t run = 0;
     for (std::size_t u = 0; u < new_left_count; ++u) {
-      delta_left_base_[u] = running;
-      running += add_left_[u];
+      cursor_[u] = run;
+      run += add_left_[u];
     }
   }
   delta_left_attrs_.resize(m);
-  by_user_.scatter(
-      delta_left_base_,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        attr_major(begin, end, [&](std::uint64_t pos, AttrId a) {
-          emit(right_targets_[pos], a);
-        });
-      },
-      delta_left_attrs_.data());
+  for (std::size_t a = 0; a < new_right_count; ++a) {
+    const NodeId* end = right_targets_.data() + right_start_[a] + right_len_[a];
+    for (const NodeId* p = end - add_right_[a]; p != end; ++p) {
+      delta_left_attrs_[cursor_[*p]++] = static_cast<AttrId>(a);
+    }
+  }
 
   core::parallel_for(touched_left_.size(), [&](std::size_t ti) {
     const std::size_t u = touched_left_[ti];
-    const AttrId* batch = delta_left_attrs_.data() + delta_left_base_[u];
+    const AttrId* batch =
+        delta_left_attrs_.data() + (cursor_[u] - add_left_[u]);
     AttrId* region = left_targets_.data() + left_start_[u];
     if (reloc_left_[ti] != std::numeric_limits<std::uint64_t>::max()) {
       const AttrId* old = left_targets_.data() + reloc_left_[ti];

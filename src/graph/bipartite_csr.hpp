@@ -8,10 +8,9 @@
 //                                           order, matching the append order
 //                                           of the source attribute log.
 //
-// Build cost is O(links + left_count + right_count) with counting sorts —
-// no comparison sort. The scatter passes run on the shared chunk-parallel
-// stable counting-sort engine (core/counting_scatter.hpp), so they
-// parallelize while writing byte-identical arrays at any SAN_THREADS.
+// Build cost is O(links + left_count + right_count) with serial counting
+// sorts — no comparison sort — so the arrays are byte-identical at any
+// SAN_THREADS.
 //
 // A `with_slack` build reserves amortized-doubling headroom per node
 // (graph/slack.hpp) so `append_links` can absorb whole days of new links
@@ -27,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "core/counting_scatter.hpp"
 #include "graph/digraph.hpp"
 
 namespace san::graph {
@@ -66,18 +64,11 @@ class BipartiteCsr {
   /// with amortized-doubling capacity; append returns false — leaving the
   /// structure UNCHANGED — only when the relocation waste would exceed the
   /// live links, and the caller then compacts with a full rebuild.
-  /// Counting is chunk-parallel and per-node merges write disjoint ranges,
-  /// so results are byte-identical at any SAN_THREADS count.
+  /// Counting is serial and per-node merges write disjoint ranges, so
+  /// results are byte-identical at any SAN_THREADS count.
   bool append_links(std::size_t new_left_count, std::size_t new_right_count,
                     std::span<const NodeId> users,
                     std::span<const AttrId> attrs);
-
-  /// Fixed right id space variant (the SanTimeline delta sweep, where the
-  /// id space always spans the whole source network).
-  bool append_links(std::size_t new_left_count, std::span<const NodeId> users,
-                    std::span<const AttrId> attrs) {
-    return append_links(new_left_count, right_count_, users, attrs);
-  }
 
   std::size_t left_count() const { return left_count_; }
   std::size_t right_count() const { return right_count_; }
@@ -112,12 +103,10 @@ class BipartiteCsr {
   std::vector<NodeId> right_targets_;
   // Dead slots stranded by relocations; a full rebuild resets them.
   std::uint64_t left_waste_ = 0, right_waste_ = 0;
-  // Scatter engines and bases, kept as members so rebuilds and steady-state
+  // Counting-sort scratch, kept as members so rebuilds and steady-state
   // appends stay allocation-free once the arrays reach their high-water
   // capacity.
-  core::StableCountingScatter by_attr_, by_user_;
-  std::vector<std::uint64_t> counts_, base_, dense_right_;
-  std::vector<std::uint64_t> add_left_, delta_left_base_;
+  std::vector<std::uint64_t> cursor_, add_left_, add_right_;
   std::vector<AttrId> delta_left_attrs_;
   std::vector<NodeId> touched_left_;
   std::vector<std::uint64_t> reloc_left_;

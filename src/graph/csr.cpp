@@ -97,7 +97,7 @@ void CsrGraph::rebuild_from_sorted_edges(std::size_t node_count,
   // The append scratch is empty outside append_sorted_links; reuse it for
   // the offset prefixes so repeated rebuilds recycle capacity.
   auto& out_offsets = delta_out_base_;
-  auto& in_offsets = delta_in_base_;
+  auto& in_offsets = delta_in_end_;
   out_offsets.assign(node_count + 1, 0);
   in_offsets.assign(node_count + 1, 0);
   for (std::size_t u = 0; u < node_count; ++u) {
@@ -234,6 +234,11 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
   }
   const std::size_t m = srcs.size();
   const std::size_t old_n = node_count_;
+  // Validate and count the new links per endpoint in one pass; a bad link
+  // throws before any public state mutates (only the scratch counts are
+  // written).
+  add_out_.assign(new_node_count, 0);
+  add_in_.assign(new_node_count, 0);
   for (std::size_t i = 0; i < m; ++i) {
     if (srcs[i] >= new_node_count || dsts[i] >= new_node_count) {
       throw std::out_of_range("CsrGraph::append: node id out of range");
@@ -246,21 +251,9 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
       throw std::invalid_argument(
           "CsrGraph::append: edges not sorted by (src, dst)");
     }
+    ++add_out_[srcs[i]];
+    ++add_in_[dsts[i]];
   }
-
-  // Chunk-parallel counts of the new links per endpoint.
-  append_by_src_.count(
-      m, new_node_count,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(srcs[i]);
-      },
-      add_out_);
-  append_by_dst_.count(
-      m, new_node_count,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(dsts[i]);
-      },
-      add_in_);
 
   // Waste policy check BEFORE any mutation: relocating every overflowing
   // region must not strand more dead slots than there are live entries —
@@ -348,26 +341,24 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
 
   // Out side: the batch is src-major, so each node's new targets are a
   // contiguous ascending run addressed by the dense prefix of add_out_.
-  // In side: one stable scatter by dst yields per-target source runs in
-  // ascending order (stable over the src-sorted input).
-  delta_out_base_.assign(new_node_count, 0);
-  delta_in_base_.assign(new_node_count, 0);
+  // In side: one stable counting scatter by dst yields per-target source
+  // runs in ascending order (stable over the src-sorted input); each
+  // cursor advances from its run's start to its end.
+  delta_out_base_.resize(new_node_count);
+  delta_in_end_.resize(new_node_count);
   {
     std::uint64_t out_run = 0, in_run = 0;
     for (std::size_t u = 0; u < new_node_count; ++u) {
       delta_out_base_[u] = out_run;
-      delta_in_base_[u] = in_run;
+      delta_in_end_[u] = in_run;
       out_run += add_out_[u];
       in_run += add_in_[u];
     }
   }
   delta_in_src_.resize(m);
-  append_by_dst_.scatter(
-      delta_in_base_,
-      [&](std::size_t begin, std::size_t end, auto emit) {
-        for (std::size_t i = begin; i < end; ++i) emit(dsts[i], srcs[i]);
-      },
-      delta_in_src_.data());
+  for (std::size_t i = 0; i < m; ++i) {
+    delta_in_src_[delta_in_end_[dsts[i]]++] = srcs[i];
+  }
 
   // Per-node work is independent (disjoint regions) — one parallel pass
   // merges both sides and refreshes the neighbor union, byte-identical at
@@ -387,7 +378,8 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
       out_len_[u] += static_cast<std::uint32_t>(add_out_[u]);
     }
     if (add_in_[u] > 0 || reloc_in_[ti] != kNoReloc) {
-      const NodeId* batch = delta_in_src_.data() + delta_in_base_[u];
+      const NodeId* batch =
+          delta_in_src_.data() + (delta_in_end_[u] - add_in_[u]);
       NodeId* region = in_targets_.data() + in_start_[u];
       if (reloc_in_[ti] != kNoReloc) {
         const NodeId* old = in_targets_.data() + reloc_in_[ti];

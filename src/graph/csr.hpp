@@ -25,7 +25,7 @@
 //     SanTimeline link-index filter, packed or slack — big-buffer ping-pong,
 //     zero steady-state allocation — and the apps/projection.cpp topology);
 //   - `append_sorted_links` merges a sorted batch of new edges into the
-//     per-node regions (chunk-parallel counting, per-node merges).
+//     per-node regions (serial counting, parallel per-node merges).
 //
 // The undirected neighbor merge runs chunked on the src/core/ substrate
 // (per-node disjoint writes, byte-identical at any thread count).
@@ -36,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/counting_scatter.hpp"
 #include "graph/digraph.hpp"
 
 namespace san::graph {
@@ -93,8 +92,8 @@ class CsrGraph {
   /// relocated to the tail with amortized-doubling capacity. Returns false
   /// — leaving the graph UNCHANGED — only when the relocation waste would
   /// exceed the live entries; the caller then compacts with a full
-  /// (re-slacked) rebuild. Counting is chunk-parallel and the per-node
-  /// merges write disjoint ranges, so results are byte-identical at any
+  /// (re-slacked) rebuild. Counting is serial and the per-node merges
+  /// write disjoint ranges, so results are byte-identical at any
   /// SAN_THREADS count.
   bool append_sorted_links(std::size_t new_node_count,
                            std::span<const NodeId> srcs,
@@ -146,9 +145,8 @@ class CsrGraph {
   // rebuild_from_sorted_edges' offset prefixes), kept as members so
   // steady-state appends — one batch per swept day — recycle capacity
   // instead of allocating. All are empty outside a call.
-  core::StableCountingScatter append_by_src_, append_by_dst_;
   std::vector<std::uint64_t> add_out_, add_in_;
-  std::vector<std::uint64_t> delta_out_base_, delta_in_base_;
+  std::vector<std::uint64_t> delta_out_base_, delta_in_end_;
   std::vector<NodeId> delta_in_src_;
   std::vector<NodeId> touched_;
   std::vector<std::uint64_t> reloc_out_, reloc_in_;  // old starts, ~0 = none

@@ -1,9 +1,11 @@
 #include "san/serialization.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace san {
 namespace {
@@ -12,6 +14,19 @@ constexpr const char* kMagic = "SANv1";
 
 void expect(bool condition, const char* message) {
   if (!condition) throw std::runtime_error(std::string("load_san: ") + message);
+}
+
+/// Insert one record, rethrowing the network's own rejection (an unknown
+/// id, a decreasing join time) as a load_san error that names the section
+/// and the record's index within it.
+template <typename Insert>
+void insert_record(const char* section, std::uint64_t index, Insert&& insert) {
+  try {
+    insert();
+  } catch (const std::logic_error& e) {
+    throw std::runtime_error(std::string("load_san: ") + section + ' ' +
+                             std::to_string(index) + ": " + e.what());
+  }
 }
 
 }  // namespace
@@ -65,7 +80,7 @@ SocialAttributeNetwork load_san(std::istream& in) {
   for (std::size_t u = 0; u < n_social; ++u) {
     double time = 0.0;
     expect(static_cast<bool>(in >> time), "truncated social node times");
-    network.add_social_node(time);
+    insert_record("social_nodes", u, [&] { network.add_social_node(time); });
   }
 
   std::size_t n_attr = 0;
@@ -89,7 +104,8 @@ SocialAttributeNetwork load_san(std::istream& in) {
     NodeId u = 0, v = 0;
     double time = 0.0;
     expect(static_cast<bool>(in >> u >> v >> time), "truncated social link");
-    network.add_social_link(u, v, time);
+    insert_record("social_links", i,
+                  [&] { network.add_social_link(u, v, time); });
   }
 
   expect(static_cast<bool>(in >> token >> n_links) &&
@@ -100,7 +116,8 @@ SocialAttributeNetwork load_san(std::istream& in) {
     AttrId a = 0;
     double time = 0.0;
     expect(static_cast<bool>(in >> u >> a >> time), "truncated attribute link");
-    network.add_attribute_link(u, a, time);
+    insert_record("attribute_links", i,
+                  [&] { network.add_attribute_link(u, a, time); });
   }
   return network;
 }

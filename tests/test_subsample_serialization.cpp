@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "san/san.hpp"
 #include "san/serialization.hpp"
@@ -116,6 +117,55 @@ TEST(Serialization, RejectsGarbage) {
   EXPECT_THROW(load_san(bad), std::runtime_error);
   std::stringstream truncated("SANv1\nsocial_nodes 5\n1.0\n");
   EXPECT_THROW(load_san(truncated), std::runtime_error);
+}
+
+/// load_san's error message for `text`, or "" if it loads.
+std::string load_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    load_san(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Two social nodes and one attribute node, then the given link sections.
+std::string two_user_san(const std::string& social_links,
+                         const std::string& attribute_links) {
+  return "SANv1\nsocial_nodes 2\n1.0\n2.0\nattribute_nodes 1\n0 1.0 Acme\n" +
+         social_links + attribute_links;
+}
+
+TEST(Serialization, UnknownLinkSourceNamesTheRecord) {
+  const std::string error = load_error(two_user_san(
+      "social_links 2\n0 1 1.0\n5 0 2.0\n", "attribute_links 0\n"));
+  EXPECT_EQ(error.rfind("load_san: social_links 1: ", 0), 0u) << error;
+}
+
+TEST(Serialization, UnknownLinkTargetNamesTheRecord) {
+  const std::string error = load_error(two_user_san(
+      "social_links 2\n0 1 1.0\n1 7 2.0\n", "attribute_links 0\n"));
+  EXPECT_EQ(error.rfind("load_san: social_links 1: ", 0), 0u) << error;
+}
+
+TEST(Serialization, UnknownAttributeUserNamesTheRecord) {
+  const std::string error = load_error(two_user_san(
+      "social_links 0\n", "attribute_links 2\n0 0 1.0\n4 0 2.0\n"));
+  EXPECT_EQ(error.rfind("load_san: attribute_links 1: ", 0), 0u) << error;
+}
+
+TEST(Serialization, UnknownAttributeIdNamesTheRecord) {
+  const std::string error = load_error(two_user_san(
+      "social_links 0\n", "attribute_links 2\n0 0 1.0\n1 3 2.0\n"));
+  EXPECT_EQ(error.rfind("load_san: attribute_links 1: ", 0), 0u) << error;
+}
+
+TEST(Serialization, DecreasingJoinTimeNamesTheRecord) {
+  const std::string error = load_error(
+      "SANv1\nsocial_nodes 3\n1.0\n2.0\n1.5\nattribute_nodes 0\n"
+      "social_links 0\nattribute_links 0\n");
+  EXPECT_EQ(error.rfind("load_san: social_nodes 2: ", 0), 0u) << error;
 }
 
 TEST(Serialization, FileRoundTrip) {

@@ -550,8 +550,8 @@ TEST(BipartiteCsr, RejectsOutOfRange) {
 }
 
 TEST(BipartiteCsr, ParallelScatterMatchesSerialReferenceAtAnyThreadCount) {
-  // Large enough that the 64Ki-link scatter grain yields several chunks, so
-  // the two-level per-chunk cursors actually run multi-chunk.
+  // A large, skewed input (hot users and attributes): every thread count
+  // must reproduce the serial reference byte for byte.
   san::stats::Rng rng(271828);
   const std::size_t n_left = 4'000, n_right = 700, m = 300'000;
   std::vector<NodeId> users(m);
@@ -787,6 +787,38 @@ TEST(CsrAppend, RejectsMalformedBatches) {
   EXPECT_THROW(g.append_sorted_links(1, srcs, dsts), std::invalid_argument);
 }
 
+TEST(CsrAppend, RejectedAppendLeavesTheGraphUnchanged) {
+  // Each malformed batch is valid up to its LAST link, so a call that
+  // mutated while validating would leave the earlier links behind.
+  std::vector<std::pair<NodeId, NodeId>> edges{{0, 1}, {1, 2}, {2, 0}};
+  std::vector<NodeId> srcs, dsts;
+  csr_append::split(edges, srcs, dsts);
+  san::graph::CsrGraph g;
+  g.rebuild_from_sorted_edges(4, srcs, dsts, /*with_slack=*/true);
+  const auto before = san::graph::CsrGraph::from_edges(4, edges);
+
+  const std::vector<NodeId> s_range{0, 1, 3}, d_range{2, 3, 9};
+  EXPECT_THROW(g.append_sorted_links(5, s_range, d_range), std::out_of_range);
+  csr_append::expect_graphs_equal(g, before);
+  const std::vector<NodeId> s_loop{0, 1, 3}, d_loop{2, 3, 3};
+  EXPECT_THROW(g.append_sorted_links(5, s_loop, d_loop),
+               std::invalid_argument);
+  csr_append::expect_graphs_equal(g, before);
+  const std::vector<NodeId> s_order{0, 3, 1}, d_order{2, 1, 3};
+  EXPECT_THROW(g.append_sorted_links(5, s_order, d_order),
+               std::invalid_argument);
+  csr_append::expect_graphs_equal(g, before);
+  const std::vector<NodeId> s_ok{0, 1, 3}, d_ok{2, 3, 1};
+  EXPECT_THROW(g.append_sorted_links(3, s_ok, d_ok), std::invalid_argument);
+  csr_append::expect_graphs_equal(g, before);
+
+  // The rejections left no stale scratch behind: a valid append lands.
+  ASSERT_TRUE(g.append_sorted_links(5, s_ok, d_ok));
+  edges.insert(edges.end(), {{0, 2}, {1, 3}, {3, 1}});
+  csr_append::expect_graphs_equal(g,
+                                  san::graph::CsrGraph::from_edges(5, edges));
+}
+
 // ---- BipartiteCsr append (slack layout) fast path. ----
 
 TEST(BipartiteCsr, SlackBuildMatchesDenseSpans) {
@@ -830,13 +862,13 @@ TEST(BipartiteCsr, AppendMatchesRebuildAndKeepsOrders) {
 
   const std::vector<NodeId> u1{1, 4, 0};
   const std::vector<AttrId> a1{1, 0, 0};
-  ASSERT_TRUE(csr.append_links(5, u1, a1));
+  ASSERT_TRUE(csr.append_links(5, csr.right_count(), u1, a1));
   users.insert(users.end(), u1.begin(), u1.end());
   attrs.insert(attrs.end(), a1.begin(), a1.end());
 
   const std::vector<NodeId> u2{4, 1};
   const std::vector<AttrId> a2{3, 0};
-  ASSERT_TRUE(csr.append_links(6, u2, a2));
+  ASSERT_TRUE(csr.append_links(6, csr.right_count(), u2, a2));
   users.insert(users.end(), u2.begin(), u2.end());
   attrs.insert(attrs.end(), a2.begin(), a2.end());
 
@@ -870,7 +902,7 @@ TEST(BipartiteCsr, AppendRelocatesUntilWasteExceedsLiveThenRefuses) {
   // One more member overflows: the list RELOCATES (waste 10 <= live 11).
   const std::vector<NodeId> u1{10};
   const std::vector<AttrId> a1{0};
-  ASSERT_TRUE(csr.append_links(n_left, u1, a1));
+  ASSERT_TRUE(csr.append_links(n_left, csr.right_count(), u1, a1));
   EXPECT_EQ(csr.link_count(), 11u);
 
   // Fill the doubled region: capacity is slack_capacity(11) = 22.
@@ -880,20 +912,75 @@ TEST(BipartiteCsr, AppendRelocatesUntilWasteExceedsLiveThenRefuses) {
     u2.push_back(u);
     a2.push_back(0);
   }
-  ASSERT_TRUE(csr.append_links(n_left, u2, a2));
+  ASSERT_TRUE(csr.append_links(n_left, csr.right_count(), u2, a2));
   EXPECT_EQ(csr.link_count(), 22u);
 
   // One more overflow would strand 10 + 22 dead slots against 23 live
   // links: refuse and leave the structure untouched.
   const std::vector<NodeId> u3{22};
   const std::vector<AttrId> a3{0};
-  EXPECT_FALSE(csr.append_links(n_left, u3, a3));
+  EXPECT_FALSE(csr.append_links(n_left, csr.right_count(), u3, a3));
   EXPECT_EQ(csr.link_count(), 22u);
   ASSERT_EQ(csr.members_of(0).size(), 22u);
   for (NodeId u = 0; u < 22; ++u) {
     EXPECT_EQ(csr.members_of(0)[u], u);  // input (time) order survived both
                                          // relocations
   }
+}
+
+TEST(BipartiteCsr, RejectedCallsLeaveTheStructureUnchanged) {
+  // Every rejected batch is valid up to its LAST link, so a call that
+  // mutated while validating would leave the earlier links behind.
+  std::vector<NodeId> users{2, 0, 1, 2};
+  std::vector<AttrId> attrs{1, 1, 0, 2};
+  BipartiteCsr csr;
+  csr.rebuild_from_links(3, 3, users, attrs, /*with_slack=*/true);
+  const auto expect_matches = [&](const BipartiteCsr& reference) {
+    ASSERT_EQ(csr.left_count(), reference.left_count());
+    ASSERT_EQ(csr.right_count(), reference.right_count());
+    ASSERT_EQ(csr.link_count(), reference.link_count());
+    for (NodeId u = 0; u < reference.left_count(); ++u) {
+      const auto a = csr.attrs_of(u), b = reference.attrs_of(u);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "attrs_of(" << u << ")";
+    }
+    for (AttrId x = 0; x < reference.right_count(); ++x) {
+      const auto a = csr.members_of(x), b = reference.members_of(x);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "members_of(" << x << ")";
+    }
+  };
+  const auto before = BipartiteCsr::from_links(3, 3, users, attrs);
+
+  const std::vector<NodeId> bad_user{0, 1, 7};
+  const std::vector<AttrId> bad_attr{0, 2, 9};
+  const std::vector<AttrId> ok_attr{0, 2, 1};
+  const std::vector<NodeId> ok_user{0, 1, 3};
+  EXPECT_THROW(csr.rebuild_from_links(3, 3, bad_user, ok_attr),
+               std::out_of_range);
+  expect_matches(before);
+  EXPECT_THROW(csr.rebuild_from_links(3, 3, ok_user, ok_attr),
+               std::out_of_range);
+  expect_matches(before);
+  EXPECT_THROW(csr.rebuild_from_links(4, 3, ok_user, bad_attr),
+               std::out_of_range);
+  expect_matches(before);
+  EXPECT_THROW(csr.append_links(4, 3, bad_user, ok_attr), std::out_of_range);
+  expect_matches(before);
+  EXPECT_THROW(csr.append_links(4, 3, ok_user, bad_attr), std::out_of_range);
+  expect_matches(before);
+  EXPECT_THROW(csr.append_links(2, 3, ok_user, ok_attr),
+               std::invalid_argument);
+  expect_matches(before);
+  EXPECT_THROW(csr.append_links(4, 2, ok_user, ok_attr),
+               std::invalid_argument);
+  expect_matches(before);
+
+  // The rejections left no stale scratch behind: a valid append lands.
+  ASSERT_TRUE(csr.append_links(4, 3, ok_user, ok_attr));
+  users.insert(users.end(), ok_user.begin(), ok_user.end());
+  attrs.insert(attrs.end(), ok_attr.begin(), ok_attr.end());
+  expect_matches(BipartiteCsr::from_links(4, 3, users, attrs));
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 Checks, stdlib only:
   1. every intra-repo markdown link ([text](path)) in tracked *.md files
      resolves to an existing file or directory;
-  2. the subcommand table in README.md matches `san_tool help` exactly
+  2. every backticked path (a `span` holding a `/`, e.g. `src/core/`) in
+     README.md and docs/ARCHITECTURE.md exists, resolved against the repo
+     root, then src/, then the doc's own directory; `{a,b}` braces expand
+     to one path each, and git-ignored build outputs (`build/`) pass;
+  3. the subcommand table in README.md matches `san_tool help` exactly
      (same names, no drift in either direction), and every subcommand's
      `san_tool help NAME` page exists (exit 0).
 
@@ -21,6 +25,15 @@ import sys
 
 # [text](target) — excluding images is unnecessary; they resolve the same.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# Inline code spans; fenced blocks are stripped first.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# A path: slash-separated segments of path characters. Only the first may
+# start with a dot (`.github/...`), which keeps `.count/.p50_us`-style
+# metric lists and `1/2/4/8` thread sweeps out.
+PATH_RE = re.compile(r"^[A-Za-z_.][\w.{},-]*(/[A-Za-z0-9_{][\w.{},-]*)*/?$")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
+# Docs whose backticked paths must exist.
+PATH_CHECKED_DOCS = ("README.md", "docs/ARCHITECTURE.md")
 # README subcommand table rows: | `name` | `synopsis` | purpose |
 TABLE_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9-]*)`\s*\|")
 # `san_tool help` subcommand listing rows: two-space indent, name, summary.
@@ -34,11 +47,14 @@ def markdown_files(root):
     return sorted(set(out.stdout.split()))
 
 
+def strip_fences(text):
+    return re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+
+
 def strip_code(text):
     """Drop fenced blocks and inline code so literal [x](y) examples in
     them are not treated as links."""
-    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
-    return re.sub(r"`[^`\n]*`", "", text)
+    return re.sub(r"`[^`\n]*`", "", strip_fences(text))
 
 
 def check_links(root, files):
@@ -56,6 +72,39 @@ def check_links(root, files):
                 os.path.join(root, os.path.dirname(rel), path))
             if not os.path.exists(resolved):
                 errors.append(f"{rel}: broken link -> {target}")
+    return errors
+
+
+def expand_braces(path):
+    """`src/a.{hpp,cpp}` -> [`src/a.hpp`, `src/a.cpp`]."""
+    m = BRACE_RE.search(path)
+    if not m:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out += expand_braces(path[:m.start()] + alt + path[m.end():])
+    return out
+
+
+def git_ignored(root, rel):
+    return subprocess.run(["git", "check-ignore", "-q", rel],
+                          cwd=root).returncode == 0
+
+
+def check_code_paths(root, rel):
+    text = strip_fences(
+        open(os.path.join(root, rel), encoding="utf-8").read())
+    bases = [root, os.path.join(root, "src"),
+             os.path.join(root, os.path.dirname(rel))]
+    errors = []
+    for span in CODE_SPAN_RE.findall(text):
+        if "/" not in span or not PATH_RE.match(span):
+            continue
+        for path in expand_braces(span):
+            if any(os.path.exists(os.path.join(base, path))
+                   for base in bases) or git_ignored(root, path):
+                continue
+            errors.append(f"{rel}: missing path `{path}`")
     return errors
 
 
@@ -115,6 +164,8 @@ def main():
 
     files = markdown_files(args.root)
     errors = check_links(args.root, files)
+    for rel in PATH_CHECKED_DOCS:
+        errors += check_code_paths(args.root, rel)
     if args.san_tool:
         errors += check_drift(args.root, args.san_tool)
     else:
