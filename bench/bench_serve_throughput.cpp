@@ -136,21 +136,34 @@ int main(int argc, char** argv) {
   (void)run_batched(engine, queries, kBatch);
   const double cold_s = seconds_since(cold_start);
   const auto cold_stats = cache.stats();
-  // Best of two warm passes: the warm margin at CI smoke scale is only the
-  // skipped materializations, so a single scheduler hiccup could flip a
-  // raw one-shot comparison.
+  // Warm passes: best of two with telemetry detached (the process
+  // default: every instrumented site pays one relaxed atomic-bool load)
+  // and best of two attached (latency capture and tracing on). The warm
+  // margin at CI smoke scale is only the skipped materializations, so one
+  // scheduler hiccup could flip a one-shot comparison. The passes run in
+  // ABBA order so host drift lands on both sides of
+  // telemetry_attached_vs_detached.
+  obs::Registry registry;
+  cache.register_metrics(registry, "cache");
+  engine.register_metrics(registry, "serve");
   double warm_s = std::numeric_limits<double>::infinity();
-  for (int pass = 0; pass < 2; ++pass) {
-    const auto warm_start = std::chrono::steady_clock::now();
+  double attached_s = std::numeric_limits<double>::infinity();
+  for (const bool attached : {false, true, true, false}) {
+    obs::set_timing_enabled(attached);
+    obs::set_tracing_enabled(attached);
+    const auto start = std::chrono::steady_clock::now();
     (void)run_batched(engine, queries, kBatch);
-    warm_s = std::min(warm_s, seconds_since(warm_start));
+    double& best = attached ? attached_s : warm_s;
+    best = std::min(best, seconds_since(start));
   }
+  obs::set_timing_enabled(false);
+  obs::set_tracing_enabled(false);
   const auto warm_stats = cache.stats();
   std::printf("  cold: %7.3f s (%.0f queries/s), %llu misses\n", cold_s,
               queries.size() / cold_s,
               static_cast<unsigned long long>(cold_stats.misses));
-  std::printf("  warm: %7.3f s (%.0f queries/s, best of 2), %llu hits since"
-              " cold\n",
+  std::printf("  warm: %7.3f s (%.0f queries/s, best of 2), %llu hits over"
+              " 4 warm passes\n",
               warm_s, queries.size() / warm_s,
               static_cast<unsigned long long>(warm_stats.hits -
                                               cold_stats.hits));
@@ -177,31 +190,14 @@ int main(int argc, char** argv) {
   }
 
   bench::header("telemetry overhead: warm serve, sink attached vs detached");
-  // The `warm_s` passes above ran with telemetry OFF (the process default):
-  // every instrumented site paid one relaxed atomic-bool load and nothing
-  // else. Now attach a registry, enable latency capture AND tracing, rerun
-  // the same warm workload, and gate the ratio — the telemetry layer's
-  // whole-pipeline cost must stay within the bench-regression floor
+  // The attached passes above must stay within the bench-regression floor
   // (tools/bench_baseline.json: telemetry_attached_vs_detached).
+  std::printf("  attached: %7.3f s (%.0f queries/s) vs detached %7.3f s"
+              " — %.3fx\n",
+              attached_s, queries.size() / attached_s, warm_s,
+              warm_s / attached_s);
+  report.add("telemetry_attached_vs_detached", warm_s / attached_s);
   {
-    obs::Registry registry;
-    cache.register_metrics(registry, "cache");
-    engine.register_metrics(registry, "serve");
-    obs::set_timing_enabled(true);
-    obs::set_tracing_enabled(true);
-    double attached_s = std::numeric_limits<double>::infinity();
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto attached_start = std::chrono::steady_clock::now();
-      (void)run_batched(engine, queries, kBatch);
-      attached_s = std::min(attached_s, seconds_since(attached_start));
-    }
-    obs::set_timing_enabled(false);
-    obs::set_tracing_enabled(false);
-    std::printf("  attached: %7.3f s (%.0f queries/s) vs detached %7.3f s"
-                " — %.3fx\n",
-                attached_s, queries.size() / attached_s, warm_s,
-                warm_s / attached_s);
-    report.add("telemetry_attached_vs_detached", warm_s / attached_s);
     // Sanity: the attached passes actually recorded latencies and spans.
     std::uint64_t recorded = 0;
     for (const auto& [name, value] : registry.snapshot()) {

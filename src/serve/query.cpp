@@ -1,7 +1,7 @@
 #include "serve/query.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,17 +12,21 @@
 namespace san::serve {
 namespace {
 
+// std::to_chars with a precision prints exactly what printf("%.17g") does
+// (the standard defines it that way), without the format-string parse
+// and locale lookups.
 void append_double(std::string& line, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  line += buffer;
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  line.append(buffer, end);
 }
 
 void append_u64(std::string& line, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%llu",
-                static_cast<unsigned long long>(value));
-  line += buffer;
+  char buffer[20];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+  line.append(buffer, end);
 }
 
 [[noreturn]] void bad_line(std::size_t line_no, const std::string& what) {

@@ -138,6 +138,7 @@ void Server::register_metrics(obs::Registry& registry,
   registry.attach_counter(prefix + ".backpressure", backpressure_);
   registry.attach_counter(prefix + ".dropped_responses", dropped_responses_);
   registry.attach_gauge(prefix + ".open_connections", open_connections_);
+  registry.attach_histogram(prefix + ".admission_wait", admission_wait_ns_);
   registry.attach_histogram(prefix + ".turnaround", turnaround_ns_);
   registry.attach_histogram(prefix + ".batch_flush", batch_flush_ns_);
 }
@@ -152,20 +153,12 @@ void Server::run() {
     }
     if (draining_) break;
 
-    int timeout_ms = -1;
-    if (!pending_.empty()) {
-      if (options_.max_delay_us == 0) {
-        timeout_ms = 0;
-      } else {
-        const std::uint64_t now = mono_us();
-        const std::uint64_t deadline = first_admit_us_ + options_.max_delay_us;
-        timeout_ms = now >= deadline
-                         ? 0
-                         : static_cast<int>((deadline - now + 999) / 1000);
-      }
-    }
+    // With a batch pending the loop polls instead of sleeping, so it
+    // never waits on a deadline: a pass with no events means the batch
+    // cannot grow, and it flushes below.
     const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout_ms);
+                               static_cast<int>(events.size()),
+                               pending_.empty() ? -1 : 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error("server: epoll_wait failed: " +
@@ -200,8 +193,7 @@ void Server::run() {
       }
     }
     if (!pending_.empty() &&
-        (options_.max_delay_us == 0 ||
-         mono_us() >= first_admit_us_ + options_.max_delay_us)) {
+        (n == 0 || mono_us() >= first_admit_us_ + options_.max_delay_us)) {
       flush_pending();
     }
   }
@@ -257,8 +249,8 @@ void Server::on_readable(Connection& conn) {
         line.swap(conn.in);
         process_line(conn, std::move(line));
       }
-      // The client finished its stream: serve its queued queries now
-      // instead of waiting out the flush deadline, then close below.
+      // The client finished its stream: serve its queued queries now,
+      // even while other connections keep the loop busy, then close below.
       flush_pending();
       break;
     }
@@ -354,6 +346,7 @@ void Server::flush_pending() {
     if (conn.inflight > 0) --conn.inflight;
     enqueue(conn, results[i].to_line(pending_[i]) + "\n");
     if (timing && pending_meta_[i].admit_ns != 0) {
+      admission_wait_ns_->record(t0 - pending_meta_[i].admit_ns);
       turnaround_ns_->record(t1 - pending_meta_[i].admit_ns);
     }
     if (touched.empty() || touched.back() != pending_meta_[i].conn_id) {

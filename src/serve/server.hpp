@@ -11,11 +11,14 @@
 //
 //  * Admission batching. Parsed queries from every connection accumulate
 //    into one pending batch in arrival order; the batch flushes into
-//    QueryEngine::run_batch when it reaches batch_size OR when
-//    max_delay_us has elapsed since its first admission, whichever comes
-//    first (max_delay_us == 0 flushes after every event-loop pass). The
-//    engine's batch==single byte-identity contract makes the flush
-//    boundary invisible in the results.
+//    QueryEngine::run_batch when it reaches batch_size, when the loop
+//    goes idle (while a batch is pending the loop polls, and a pass with
+//    no events means nothing more can join it), or when max_delay_us
+//    has elapsed since its first admission under a trickle that never
+//    goes idle. So a lone request is answered at once, and a deep
+//    pipeline still fills whole batches. The engine's batch==single
+//    byte-identity contract makes the flush boundary invisible in the
+//    results.
 //  * Ingest ordering. An `ingest <tip>` line first flushes the pending
 //    batch (queries admitted before the ingest must see the pre-ingest
 //    epochs — the same order file replay executes), then invokes the
@@ -50,11 +53,12 @@
 // Telemetry (register_metrics, `server.*` by convention): accepted /
 // closed / slow_disconnects / oversize_disconnects / queries / ingests /
 // parse_errors / batches / backpressure / dropped_responses counters, an
-// open_connections gauge, and two latency histograms — `<p>.turnaround`
-// (per-connection: query line read to response line enqueued, the
-// server-side SLO number) and `<p>.batch_flush` (run_batch duration per
-// flush). Histograms record only while obs::timing_enabled(), like every
-// other instrumented site.
+// open_connections gauge, and three latency histograms —
+// `<p>.admission_wait` (per query: admission to the start of its batch
+// flush), `<p>.turnaround` (per query: line read to response line
+// enqueued, the server-side SLO number) and `<p>.batch_flush` (run_batch
+// duration per flush). Histograms record only while
+// obs::timing_enabled(), like every other instrumented site.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +81,9 @@ struct ServerOptions {
   /// Pending-batch flush threshold (queries), >= 1.
   std::size_t batch_size = 1024;
   /// Flush deadline: microseconds after the first admission of a pending
-  /// batch before it flushes regardless of size. 0 = flush after every
-  /// event-loop pass (minimum latency, smallest batches).
+  /// batch before it flushes regardless of size. It bounds the wait only
+  /// under a trickle that keeps the loop busy; an idle loop flushes at
+  /// once. 0 = flush after every event-loop pass.
   std::uint64_t max_delay_us = 1000;
   /// A line longer than this (no '\n' seen) is an error + disconnect.
   std::size_t max_line_bytes = 64 * 1024;
@@ -204,6 +209,8 @@ class Server {
       std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Gauge> open_connections_ =
       std::make_shared<obs::Gauge>();
+  std::shared_ptr<obs::Histogram> admission_wait_ns_ =
+      std::make_shared<obs::Histogram>();
   std::shared_ptr<obs::Histogram> turnaround_ns_ =
       std::make_shared<obs::Histogram>();
   std::shared_ptr<obs::Histogram> batch_flush_ns_ =

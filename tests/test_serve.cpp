@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -596,6 +599,59 @@ TEST(Workload, NonFiniteIngestTipIsRejectedWithItsLine) {
     } catch (const std::invalid_argument& e) {
       EXPECT_STREQ(e.what(), "workload line 2: ingest TIP must be finite");
     }
+  }
+}
+
+TEST(Workload, ToLinePinsNumberRendering) {
+  // Doubles render as printf("%.17g") does and integers in plain decimal;
+  // the expected strings are the %.17g bytes.
+  Query query;
+  query.kind = QueryKind::kLinkRec;
+  query.time = 2.5;
+  query.user = 4'294'967'295u;
+  const auto score_of = [&](double score) {
+    QueryResult result;
+    result.kind = QueryKind::kLinkRec;
+    result.ok = true;
+    result.recommendations = {{7, score}};
+    const std::string line = result.to_line(query);
+    EXPECT_EQ(line.rfind("linkrec t=2.5 u=4294967295 7:", 0), 0u) << line;
+    return line.substr(line.find(" 7:") + 3);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(score_of(1.0), "1");
+  EXPECT_EQ(score_of(30.0), "30");
+  EXPECT_EQ(score_of(1e16), "10000000000000000");
+  EXPECT_EQ(score_of(1e21), "1e+21");
+  EXPECT_EQ(score_of(1e-300), "1e-300");
+  EXPECT_EQ(score_of(denormal), "4.9406564584124654e-324");
+  EXPECT_EQ(score_of(-0.0), "-0");
+  EXPECT_EQ(score_of(inf), "inf");
+  EXPECT_EQ(score_of(-inf), "-inf");
+  EXPECT_EQ(score_of(0.1), "0.10000000000000001");
+  EXPECT_EQ(score_of(1.0 / 3.0), "0.33333333333333331");
+  EXPECT_EQ(score_of(-1.5e-7), "-1.4999999999999999e-07");
+
+  Query ego;
+  ego.kind = QueryKind::kEgoMetrics;
+  ego.time = 40.0;
+  QueryResult counts;
+  counts.kind = QueryKind::kEgoMetrics;
+  counts.ok = true;
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  counts.ego = {0, 1, 10, 1'000'000, 4'294'967'296ull, max};
+  EXPECT_EQ(counts.to_line(ego),
+            "ego t=40 u=0 out=0 in=1 deg=10 mutual=1000000 "
+            "attrs=4294967296 twohop=18446744073709551615");
+
+  // 17 significant digits read back to the same double, for random bit
+  // patterns of every magnitude, denormals included.
+  san::stats::Rng rng(0x70c4a75);
+  for (int i = 0; i < 1000; ++i) {
+    const double value = std::bit_cast<double>(rng.next_u64());
+    if (std::isnan(value)) continue;
+    EXPECT_EQ(std::strtod(score_of(value).c_str(), nullptr), value);
   }
 }
 

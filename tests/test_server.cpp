@@ -3,14 +3,16 @@
 // (oversized lines, NUL bytes, partial lines split across sends,
 // malformed tokens) produce the same line-numbered diagnostics file
 // replay prints, slow consumers are disconnected instead of wedging the
-// loop, ingest routes through the bound live timeline, and a drain never
-// drops an accepted query.
+// loop, ingest routes through the bound live timeline, a lone query is
+// answered as soon as the loop goes idle, and a drain never drops an
+// accepted query.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -315,13 +317,9 @@ TEST(Server, DrainServesEveryAcceptedQuery) {
   SnapshotCache cache(timeline, 8);
   QueryEngine engine(cache);
   ServerOptions options;
-  // A far-future flush deadline: the queries sit in the pending batch
-  // (or the kernel socket buffer) when the drain begins — the drain
-  // itself must serve them.
   options.max_delay_us = 60ull * 1'000'000;
   options.batch_size = 1 << 20;
   Server server(engine, options);
-  std::thread loop([&] { server.run(); });
 
   const std::string text = scenario_text(200, 33);
   std::vector<Query> queries;
@@ -330,15 +328,61 @@ TEST(Server, DrainServesEveryAcceptedQuery) {
   }
   const std::string expected = offline_serve(engine, queries);
 
+  // Connect, send every line and request the drain before the loop
+  // starts: the lines sit in the kernel socket buffer when the drain's
+  // final read runs, so the drain itself must admit and serve them.
   const int fd = connect_loopback(server.port());
-  send_all(fd, text);  // fully accepted by the kernel before the drain
+  send_all(fd, text);
   server.request_drain();
+  std::thread loop([&] { server.run(); });
   const std::string response = recv_until_eof(fd);
   ::close(fd);
   loop.join();
   EXPECT_EQ(response, expected);
   EXPECT_EQ(server.stats().queries, queries.size());
   EXPECT_EQ(server.stats().dropped_responses, 0u);
+}
+
+TEST(Server, LoneQueryIsAnsweredWithoutWaitingForTheDeadline) {
+  const auto net = test_net();
+  const SanTimeline timeline(net);
+  SnapshotCache cache(timeline, 8);
+  QueryEngine engine(cache);
+  const std::string text = "linkrec 60 7 5\n";
+  std::vector<Query> queries;
+  for (const auto& step : parse_live_workload(text)) {
+    queries.push_back(step.query);
+  }
+  const std::string expected = offline_serve(engine, queries);
+
+  // Neither a full batch nor the deadline can flush one query within the
+  // test's bound: only the idle loop can answer it.
+  ServerOptions options;
+  options.max_delay_us = 60ull * 1'000'000;
+  options.batch_size = 1024;
+  Server server(engine, options);
+  std::thread loop([&] { server.run(); });
+
+  const int fd = connect_loopback(server.port());
+  const timeval bound{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &bound, sizeof bound);
+  const auto start = std::chrono::steady_clock::now();
+  send_all(fd, text);  // no half-close: EOF would flush the batch itself
+  std::string response;
+  char buf[4096];
+  while (response.find('\n') == std::string::npos) {
+    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;  // the 10 s receive timeout, or a close
+    response.append(buf, static_cast<std::size_t>(r));
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  server.request_drain();
+  loop.join();
+  ::close(fd);
+  EXPECT_EQ(response, expected);
+  EXPECT_LT(waited, std::chrono::seconds(10));
+  EXPECT_EQ(server.stats().batches, 1u);
 }
 
 TEST(Server, IngestRoutesThroughLiveBindingByteIdentically) {
@@ -454,10 +498,12 @@ TEST(Server, TelemetryRegistersServerSchema) {
   Server server(engine, ServerOptions{});
   san::obs::Registry registry;
   server.register_metrics(registry, "server");
+  san::obs::set_timing_enabled(true);
   std::thread loop([&] { server.run(); });
   exchange(server.port(), "ego 1 2\nbroken\n");
   server.request_drain();
   loop.join();
+  san::obs::set_timing_enabled(false);
 
   const auto snapshot = registry.snapshot();
   const auto value = [&](const std::string& name) -> double {
@@ -472,6 +518,12 @@ TEST(Server, TelemetryRegistersServerSchema) {
   EXPECT_EQ(value("server.parse_errors"), 1.0);
   EXPECT_EQ(value("server.open_connections"), 0.0);
   EXPECT_GE(value("server.batches"), 1.0);
+  // One admitted query: one admission wait and one turnaround, and the
+  // wait is the front part of the turnaround.
+  EXPECT_EQ(value("server.admission_wait.count"), 1.0);
+  EXPECT_EQ(value("server.turnaround.count"), 1.0);
+  EXPECT_LE(value("server.admission_wait.p50_us"),
+            value("server.turnaround.p50_us"));
 }
 
 }  // namespace

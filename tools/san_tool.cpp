@@ -251,12 +251,13 @@ constexpr SubcommandDoc kSubcommands[] = {
      "\n"
      "Queries from all connections are admission-batched into\n"
      "QueryEngine::run_batch: a batch flushes when it reaches --batch\n"
-     "queries or --max-delay-us after its first admission, whichever\n"
-     "comes first. Slow consumers get bounded outbound buffers and are\n"
-     "disconnected (counted) rather than wedging the loop. SIGTERM or\n"
-     "SIGINT drains gracefully: stop accepting, serve every line already\n"
-     "received, flush responses, print final stats — no accepted query\n"
-     "is dropped.\n"
+     "queries, when the event loop goes idle (no more lines waiting to\n"
+     "be read), or --max-delay-us after its first admission under a\n"
+     "trickle that never goes idle. Slow consumers get bounded outbound\n"
+     "buffers and are disconnected (counted) rather than wedging the\n"
+     "loop. SIGTERM or SIGINT drains gracefully: stop accepting, serve\n"
+     "every line already received, flush responses, print final stats —\n"
+     "no accepted query is dropped.\n"
      "\n"
      "  --port P            listen port; 0 = kernel-assigned ephemeral\n"
      "                      port, printed on stderr (default: 0)\n"
@@ -267,8 +268,10 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                      statically and ingest lines are errors.\n"
      "  --cache N           frozen snapshots kept resident (default: 8)\n"
      "  --batch B           admission batch flush size (default: 1024)\n"
-     "  --max-delay-us U    admission batch flush deadline in\n"
-     "                      microseconds; 0 = flush every loop pass\n"
+     "  --max-delay-us U    upper bound in microseconds on how long a\n"
+     "                      batch waits for more queries while lines\n"
+     "                      keep arriving (an idle loop flushes at\n"
+     "                      once); 0 = flush every loop pass\n"
      "                      (default: 1000)\n"
      "  --publish-every K   live: batches per published epoch (default: 1)\n"
      "  --max-line-bytes N  protocol line cap; longer lines get an ERR\n"
@@ -286,9 +289,9 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                      slow_disconnects, oversize_disconnects,\n"
      "                      queries, ingests, parse_errors, batches,\n"
      "                      backpressure, dropped_responses,\n"
-     "                      open_connections, and turnaround /\n"
-     "                      batch_flush latency percentiles (enables\n"
-     "                      latency capture)\n"
+     "                      open_connections, and admission_wait /\n"
+     "                      turnaround / batch_flush latency\n"
+     "                      percentiles (enables latency capture)\n"
      "  --trace FILE        write a Chrome trace-event JSON on exit\n"},
     {"genload",
      "san_tool genload [--queries N] [--nodes N] [--seed S] [--zipf Z]"
