@@ -3,15 +3,19 @@
 // malformed token is an error, not a silent zero: the entire token must
 // convert, leading whitespace is rejected, and NaN is rejected for doubles
 // (a NaN snapshot time would poison hash-keyed caches — NaN != NaN).
+// The matching renderers write numbers for the same surfaces (workload
+// lines, result lines, genload traces).
 #pragma once
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace san::core {
 
@@ -57,6 +61,24 @@ inline bool parse_enum_strict(const char* text, const char* const* names,
     }
   }
   return false;
+}
+
+/// Append `value` as printf("%.17g") prints it: std::to_chars with a
+/// precision is defined to match, without the format-string parse and
+/// locale lookups. 17 significant digits round-trip every double.
+inline void append_double(std::string& out, double value) {
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  out.append(buffer, end);
+}
+
+/// Append `value` in decimal.
+inline void append_u64(std::string& out, std::uint64_t value) {
+  char buffer[20];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+  out.append(buffer, end);
 }
 
 }  // namespace san::core

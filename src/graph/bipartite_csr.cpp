@@ -1,7 +1,6 @@
 #include "graph/bipartite_csr.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "core/parallel.hpp"
@@ -103,35 +102,70 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
   const std::size_t m = users.size();
   const std::size_t old_left = left_count_;
   const std::size_t old_right = right_count_;
-
-  // Counts of the new links per endpoint; an out-of-range endpoint throws
-  // before any public state mutates (only the scratch counts are written).
-  add_right_.assign(new_right_count, 0);
-  add_left_.assign(new_left_count, 0);
+  // An out-of-range endpoint throws before any state, scratch included,
+  // mutates.
   for (std::size_t i = 0; i < m; ++i) {
     if (users[i] >= new_left_count || attrs[i] >= new_right_count) {
       throw std::out_of_range(
           "BipartiteCsr::append_links: link endpoint out of range");
     }
-    ++add_right_[attrs[i]];
-    ++add_left_[users[i]];
   }
+
+  // The touched users and attributes with their counts and runs, from
+  // the batch alone (graph/slack.hpp). A stable scatter by attribute keeps
+  // each attribute's new members in input (time) order. The touched
+  // attributes are sorted, so walking them then fills each user's run
+  // already ascending; users keep their (deterministic) first-touch order.
+  grow_slots(left_slot_, new_left_count);
+  grow_slots(right_slot_, new_right_count);
+  touched_left_.clear();
+  touched_right_.clear();
+  left_delta_.clear();
+  for (std::size_t i = 0; i < m; ++i) {
+    ++left_delta_[touch(users[i], left_slot_, touched_left_, left_delta_)].add;
+    touch(attrs[i], right_slot_, touched_right_);
+  }
+  std::sort(touched_right_.begin(), touched_right_.end());
+  for (std::size_t ti = 0; ti < touched_right_.size(); ++ti) {
+    right_slot_[touched_right_[ti]] = static_cast<std::uint32_t>(ti);
+  }
+  right_delta_.assign(touched_right_.size(), SideDelta{});
+  for (std::size_t i = 0; i < m; ++i) {
+    ++right_delta_[right_slot_[attrs[i]]].add;
+  }
+  assign_runs(left_delta_);
+  assign_runs(right_delta_);
+  delta_right_users_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    delta_right_users_[right_delta_[right_slot_[attrs[i]]].run++] = users[i];
+  }
+  delta_left_attrs_.resize(m);
+  for (std::size_t ti = 0; ti < touched_right_.size(); ++ti) {
+    SideDelta& d = right_delta_[ti];
+    d.run -= d.add;
+    for (std::uint64_t k = d.run; k < d.run + d.add; ++k) {
+      delta_left_attrs_[left_delta_[left_slot_[delta_right_users_[k]]]
+                            .run++] = touched_right_[ti];
+    }
+  }
+  for (SideDelta& d : left_delta_) d.run -= d.add;
+  release_slots(touched_left_, left_slot_);
+  release_slots(touched_right_, right_slot_);
 
   // Waste policy check BEFORE any mutation: relocating every overflowing
   // region must not strand more dead slots than there are live links —
   // past that point a compacting rebuild is cheaper, so refuse and leave
   // the structure untouched for the caller.
   std::uint64_t left_hole = 0, right_hole = 0;
-  for (std::size_t a = 0; a < old_right; ++a) {
-    if (add_right_[a] > 0 && right_len_[a] + add_right_[a] > right_cap_[a]) {
+  for (std::size_t ti = 0; ti < touched_right_.size(); ++ti) {
+    const std::size_t a = touched_right_[ti];
+    if (a < old_right && right_len_[a] + right_delta_[ti].add > right_cap_[a]) {
       right_hole += right_cap_[a];
     }
   }
-  touched_left_.clear();
-  for (std::size_t u = 0; u < new_left_count; ++u) {
-    if (add_left_[u] == 0) continue;
-    touched_left_.push_back(static_cast<NodeId>(u));
-    if (u < old_left && left_len_[u] + add_left_[u] > left_cap_[u]) {
+  for (std::size_t ti = 0; ti < touched_left_.size(); ++ti) {
+    const std::size_t u = touched_left_[ti];
+    if (u < old_left && left_len_[u] + left_delta_[ti].add > left_cap_[u]) {
       left_hole += left_cap_[u];
     }
   }
@@ -140,119 +174,53 @@ bool BipartiteCsr::append_links(std::size_t new_left_count,
     return false;
   }
 
-  // Right side: plan relocations serially (ascending id, deterministic
-  // tail), copy relocated member lists, then bucket the batch by attribute
-  // behind each list's live entries — input (time) order is preserved
-  // under the append contract.
-  reloc_right_.clear();
-  reloc_right_old_.clear();
+  // Plan relocations and joining-node regions serially in touched order;
+  // a joining node with no link keeps an empty region until its first one
+  // relocates it.
   right_start_.resize(new_right_count, 0);
   right_cap_.resize(new_right_count, 0);
   right_len_.resize(new_right_count, 0);
-  {
-    std::uint64_t tail = right_targets_.size();
-    for (std::size_t a = 0; a < new_right_count; ++a) {
-      if (a >= old_right) {
-        // Joining right node: fresh slack region at the tail, no waste.
-        right_start_[a] = tail;
-        right_cap_[a] = static_cast<std::uint32_t>(
-            add_right_[a] > 0 ? slack_capacity(add_right_[a]) : 0);
-        tail += right_cap_[a];
-      } else if (add_right_[a] > 0 &&
-                 right_len_[a] + add_right_[a] > right_cap_[a]) {
-        reloc_right_.push_back(static_cast<AttrId>(a));
-        reloc_right_old_.push_back(right_start_[a]);
-        right_waste_ += right_cap_[a];
-        right_start_[a] = tail;
-        right_cap_[a] = static_cast<std::uint32_t>(
-            slack_capacity(right_len_[a] + add_right_[a]));
-        tail += right_cap_[a];
-      }
-    }
-    right_targets_.resize(tail);
+  std::uint64_t right_tail = right_targets_.size();
+  for (std::size_t ti = 0; ti < touched_right_.size(); ++ti) {
+    plan_region(touched_right_[ti], right_delta_[ti], old_right, right_start_,
+                right_cap_, right_len_, right_waste_, right_tail);
   }
+  right_targets_.resize(right_tail);
   right_count_ = new_right_count;
-  core::parallel_for(reloc_right_.size(), [&](std::size_t i) {
-    const AttrId a = reloc_right_[i];
-    const NodeId* old = right_targets_.data() + reloc_right_old_[i];
-    std::copy(old, old + right_len_[a],
-              right_targets_.data() + right_start_[a]);
-  });
-  for (std::size_t i = 0; i < m; ++i) {
-    const AttrId a = attrs[i];
-    right_targets_[right_start_[a] + right_len_[a]++] = users[i];
-  }
-
-  // Left side: joining users get fresh tail regions; overflowing users are
-  // relocated.
   left_start_.resize(new_left_count, 0);
   left_cap_.resize(new_left_count, 0);
   left_len_.resize(new_left_count, 0);
-  reloc_left_.assign(touched_left_.size(),
-                     std::numeric_limits<std::uint64_t>::max());
-  {
-    std::uint64_t tail = left_targets_.size();
-    for (std::size_t ti = 0; ti < touched_left_.size(); ++ti) {
-      const std::size_t u = touched_left_[ti];
-      if (u >= old_left) {
-        left_start_[u] = tail;
-        left_cap_[u] =
-            static_cast<std::uint32_t>(slack_capacity(add_left_[u]));
-        tail += left_cap_[u];
-      } else if (left_len_[u] + add_left_[u] > left_cap_[u]) {
-        reloc_left_[ti] = left_start_[u];
-        left_waste_ += left_cap_[u];
-        left_start_[u] = tail;
-        left_cap_[u] = static_cast<std::uint32_t>(
-            slack_capacity(left_len_[u] + add_left_[u]));
-        tail += left_cap_[u];
-      }
-    }
-    left_targets_.resize(tail);
+  std::uint64_t left_tail = left_targets_.size();
+  for (std::size_t ti = 0; ti < touched_left_.size(); ++ti) {
+    plan_region(touched_left_[ti], left_delta_[ti], old_left, left_start_,
+                left_cap_, left_len_, left_waste_, left_tail);
   }
+  left_targets_.resize(left_tail);
   left_count_ = new_left_count;
 
-  // The batch's new attribute ids per user, in dense per-user runs:
-  // walking the freshly appended per-attribute segments in ascending
-  // attribute order fills each run sorted ascending, ready for one merge
-  // per node. Each cursor advances from its run's start to its end.
-  cursor_.resize(new_left_count);
-  {
-    std::uint64_t run = 0;
-    for (std::size_t u = 0; u < new_left_count; ++u) {
-      cursor_[u] = run;
-      run += add_left_[u];
+  // Per-node work writes disjoint regions, byte-identical at any thread
+  // count. Members append behind the live entries (moved along first when
+  // relocated), keeping input (time) order under the append contract;
+  // attribute lists merge their sorted runs.
+  core::parallel_for(touched_right_.size(), [&](std::size_t ti) {
+    const AttrId a = touched_right_[ti];
+    const SideDelta& d = right_delta_[ti];
+    NodeId* region = right_targets_.data() + right_start_[a];
+    if (d.old_start != kInPlace) {
+      const NodeId* old = right_targets_.data() + d.old_start;
+      std::copy(old, old + right_len_[a], region);
     }
-  }
-  delta_left_attrs_.resize(m);
-  for (std::size_t a = 0; a < new_right_count; ++a) {
-    const NodeId* end = right_targets_.data() + right_start_[a] + right_len_[a];
-    for (const NodeId* p = end - add_right_[a]; p != end; ++p) {
-      delta_left_attrs_[cursor_[*p]++] = static_cast<AttrId>(a);
-    }
-  }
-
+    const NodeId* run = delta_right_users_.data() + d.run;
+    std::copy(run, run + d.add, region + right_len_[a]);
+    right_len_[a] += static_cast<std::uint32_t>(d.add);
+  });
   core::parallel_for(touched_left_.size(), [&](std::size_t ti) {
-    const std::size_t u = touched_left_[ti];
-    const AttrId* batch =
-        delta_left_attrs_.data() + (cursor_[u] - add_left_[u]);
-    AttrId* region = left_targets_.data() + left_start_[u];
-    if (reloc_left_[ti] != std::numeric_limits<std::uint64_t>::max()) {
-      const AttrId* old = left_targets_.data() + reloc_left_[ti];
-      std::merge(old, old + left_len_[u], batch, batch + add_left_[u],
-                 region);
-    } else {
-      merge_sorted_tail(region, left_len_[u], batch, add_left_[u]);
-    }
-    left_len_[u] += static_cast<std::uint32_t>(add_left_[u]);
+    const NodeId u = touched_left_[ti];
+    const SideDelta& d = left_delta_[ti];
+    merge_into_region(left_targets_.data(), left_start_[u], left_len_[u],
+                      d.old_start, delta_left_attrs_.data() + d.run, d.add);
   });
   link_count_ += m;
-
-  delta_left_attrs_.clear();
-  touched_left_.clear();
-  reloc_left_.clear();
-  reloc_right_.clear();
-  reloc_right_old_.clear();
   return true;
 }
 

@@ -14,12 +14,14 @@
 //
 // A `with_slack` build reserves amortized-doubling headroom per node
 // (graph/slack.hpp) so `append_links` can absorb whole days of new links
-// in place — the delta-sweep fast path. A node that outgrows its region is
-// RELOCATED to the array tail with doubled capacity (the old region
-// becomes tracked waste); only when accumulated waste would exceed the
-// live links does append refuse and the caller compacts with a full
-// rebuild. `rebuild_from_links` reuses the arrays' capacity, so a snapshot
-// sweep touches the allocator only while the arrays are still growing.
+// in place — the delta-sweep fast path. An append finds the users and
+// attributes it touches from the batch alone and never walks either id
+// space. A node that outgrows its region is RELOCATED to the array tail
+// with doubled capacity (the old region becomes tracked waste); only when
+// accumulated waste would exceed the live links does append refuse and
+// the caller compacts with a full rebuild. `rebuild_from_links` reuses
+// the arrays' capacity, so a snapshot sweep touches the allocator only
+// while the arrays are still growing.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/slack.hpp"
 
 namespace san::graph {
 
@@ -64,8 +67,10 @@ class BipartiteCsr {
   /// with amortized-doubling capacity; append returns false — leaving the
   /// structure UNCHANGED — only when the relocation waste would exceed the
   /// live links, and the caller then compacts with a full rebuild.
-  /// Counting is serial and per-node merges write disjoint ranges, so
-  /// results are byte-identical at any SAN_THREADS count.
+  /// Cost: O(m log m + joining nodes) to find and count the touched nodes,
+  /// plus one append or merge per touched list. Counting is serial and
+  /// per-node merges write disjoint ranges, so results are byte-identical
+  /// at any SAN_THREADS count.
   bool append_links(std::size_t new_left_count, std::size_t new_right_count,
                     std::span<const NodeId> users,
                     std::span<const AttrId> attrs);
@@ -103,15 +108,18 @@ class BipartiteCsr {
   std::vector<NodeId> right_targets_;
   // Dead slots stranded by relocations; a full rebuild resets them.
   std::uint64_t left_waste_ = 0, right_waste_ = 0;
-  // Counting-sort scratch, kept as members so rebuilds and steady-state
-  // appends stay allocation-free once the arrays reach their high-water
+  // rebuild_from_links' counting-sort cursors, kept so rebuilds recycle
   // capacity.
-  std::vector<std::uint64_t> cursor_, add_left_, add_right_;
-  std::vector<AttrId> delta_left_attrs_;
-  std::vector<NodeId> touched_left_;
-  std::vector<std::uint64_t> reloc_left_;
-  std::vector<AttrId> reloc_right_;
-  std::vector<std::uint64_t> reloc_right_old_;
+  std::vector<std::uint64_t> cursor_;
+  // append_links scratch, kept so steady-state appends recycle capacity.
+  // The slot arrays grow only for joining nodes and hold kNoSlot outside a
+  // call (graph/slack.hpp); the rest is sized by the batch.
+  std::vector<std::uint32_t> left_slot_, right_slot_;
+  std::vector<NodeId> touched_left_;    // first-touch order
+  std::vector<AttrId> touched_right_;   // ascending
+  std::vector<SideDelta> left_delta_, right_delta_;  // per touched node
+  std::vector<NodeId> delta_right_users_;  // new members, by touched attr
+  std::vector<AttrId> delta_left_attrs_;   // new attrs, by touched user
 };
 
 }  // namespace san::graph

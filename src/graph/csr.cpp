@@ -1,7 +1,6 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "core/parallel.hpp"
@@ -9,8 +8,6 @@
 
 namespace san::graph {
 namespace {
-
-constexpr std::uint64_t kNoReloc = std::numeric_limits<std::uint64_t>::max();
 
 /// Sort-and-dedup an edge list; drops self loops.
 void canonicalize(std::vector<std::pair<NodeId, NodeId>>& edges) {
@@ -94,27 +91,25 @@ void CsrGraph::rebuild_from_sorted_edges(std::size_t node_count,
     ++kept;
   }
   edge_count_ = kept;
-  // The append scratch is empty outside append_sorted_links; reuse it for
-  // the offset prefixes so repeated rebuilds recycle capacity.
-  auto& out_offsets = delta_out_base_;
-  auto& in_offsets = delta_in_end_;
-  out_offsets.assign(node_count + 1, 0);
-  in_offsets.assign(node_count + 1, 0);
+  // The offset prefixes are members, so repeated rebuilds recycle
+  // capacity.
+  out_offsets_.assign(node_count + 1, 0);
+  in_offsets_.assign(node_count + 1, 0);
   for (std::size_t u = 0; u < node_count; ++u) {
     const std::size_t out_cap =
         with_slack ? slack_capacity(out_len_[u]) : out_len_[u];
     const std::size_t in_cap =
         with_slack ? slack_capacity(in_len_[u]) : in_len_[u];
-    out_offsets[u + 1] = out_offsets[u] + out_cap;
-    in_offsets[u + 1] = in_offsets[u] + in_cap;
+    out_offsets_[u + 1] = out_offsets_[u] + out_cap;
+    in_offsets_[u + 1] = in_offsets_[u] + in_cap;
   }
-  adopt_layout(node_count, out_offsets, in_offsets);
+  adopt_layout(node_count, out_offsets_, in_offsets_);
 
   // Outgoing lists fill in input order (already dst-sorted per src); the
   // incoming scatter visits sources in ascending order per target, so
   // in-lists come out sorted as well.
-  out_targets_.resize(out_offsets.back());
-  in_targets_.resize(in_offsets.back());
+  out_targets_.resize(out_offsets_.back());
+  in_targets_.resize(in_offsets_.back());
   {
     // Src-major input: one running out cursor that jumps to the node's
     // storage start whenever the source changes.
@@ -133,8 +128,6 @@ void CsrGraph::rebuild_from_sorted_edges(std::size_t node_count,
       in_targets_[in_cursor[dsts[i]]++] = srcs[i];
     }
   }
-  out_offsets.clear();
-  in_offsets.clear();
 
   build_neighbor_view();
 }
@@ -234,11 +227,8 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
   }
   const std::size_t m = srcs.size();
   const std::size_t old_n = node_count_;
-  // Validate and count the new links per endpoint in one pass; a bad link
-  // throws before any public state mutates (only the scratch counts are
-  // written).
-  add_out_.assign(new_node_count, 0);
-  add_in_.assign(new_node_count, 0);
+  // Validate the whole batch first: a bad link throws before any state,
+  // scratch included, mutates.
   for (std::size_t i = 0; i < m; ++i) {
     if (srcs[i] >= new_node_count || dsts[i] >= new_node_count) {
       throw std::out_of_range("CsrGraph::append: node id out of range");
@@ -251,26 +241,47 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
       throw std::invalid_argument(
           "CsrGraph::append: edges not sorted by (src, dst)");
     }
-    ++add_out_[srcs[i]];
-    ++add_in_[dsts[i]];
   }
+
+  // The touched nodes and their per-side counts and runs, from the batch
+  // alone (graph/slack.hpp). Sources are touched first, in the batch's
+  // ascending src order, so the out prefix over the touched list is each
+  // src run's batch offset. In runs come from a stable scatter by dst
+  // through the slots, so each node's new sources stay ascending. The
+  // passes are serial, so the touched order, and with it the order of the
+  // relocation tails, is deterministic.
+  grow_slots(slot_, new_node_count);
+  touched_.clear();
+  out_delta_.clear();
+  in_delta_.clear();
+  for (std::size_t i = 0; i < m; ++i) {
+    ++out_delta_[touch(srcs[i], slot_, touched_, out_delta_, in_delta_)].add;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    ++in_delta_[touch(dsts[i], slot_, touched_, out_delta_, in_delta_)].add;
+  }
+  assign_runs(out_delta_);
+  assign_runs(in_delta_);
+  delta_in_src_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    delta_in_src_[in_delta_[slot_[dsts[i]]].run++] = srcs[i];
+  }
+  for (SideDelta& d : in_delta_) d.run -= d.add;
+  release_slots(touched_, slot_);
 
   // Waste policy check BEFORE any mutation: relocating every overflowing
   // region must not strand more dead slots than there are live entries —
   // past that point a compacting rebuild is cheaper, so refuse and leave
   // the graph untouched for the caller.
-  touched_.clear();
   std::uint64_t out_hole = 0, in_hole = 0, nbr_hole = 0;
-  for (std::size_t u = 0; u < new_node_count; ++u) {
-    if (add_out_[u] == 0 && add_in_[u] == 0) continue;
-    touched_.push_back(static_cast<NodeId>(u));
-    if (u < old_n) {
-      const bool move_out = out_len_[u] + add_out_[u] > out_cap_[u];
-      const bool move_in = in_len_[u] + add_in_[u] > in_cap_[u];
-      if (move_out) out_hole += out_cap_[u];
-      if (move_in) in_hole += in_cap_[u];
-      if (move_out || move_in) nbr_hole += nbr_cap_[u];
-    }
+  for (std::size_t ti = 0; ti < touched_.size(); ++ti) {
+    const std::size_t u = touched_[ti];
+    if (u >= old_n) continue;
+    const bool move_out = out_len_[u] + out_delta_[ti].add > out_cap_[u];
+    const bool move_in = in_len_[u] + in_delta_[ti].add > in_cap_[u];
+    if (move_out) out_hole += out_cap_[u];
+    if (move_in) in_hole += in_cap_[u];
+    if (move_out || move_in) nbr_hole += nbr_cap_[u];
   }
   const std::uint64_t live = edge_count_ + m;
   if (out_waste_ + out_hole > live || in_waste_ + in_hole > live ||
@@ -278,8 +289,8 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
     return false;
   }
 
-  // Plan relocations and joining-node regions serially in ascending id
-  // order (deterministic tails), then grow the arrays once.
+  // Plan relocations and joining-node regions serially in touched order,
+  // then grow the arrays once.
   out_start_.resize(new_node_count, 0);
   out_cap_.resize(new_node_count, 0);
   out_len_.resize(new_node_count, 0);
@@ -292,111 +303,63 @@ bool CsrGraph::append_sorted_links(std::size_t new_node_count,
   std::uint64_t out_tail = out_targets_.size();
   std::uint64_t in_tail = in_targets_.size();
   std::uint64_t nbr_tail = nbr_targets_.size();
-  reloc_out_.assign(touched_.size(), kNoReloc);
-  reloc_in_.assign(touched_.size(), kNoReloc);
   for (std::size_t ti = 0; ti < touched_.size(); ++ti) {
     const std::size_t u = touched_[ti];
-    if (u >= old_n) {
-      out_start_[u] = out_tail;
-      out_cap_[u] = static_cast<std::uint32_t>(
-          slack_capacity(add_out_[u]));
-      out_tail += out_cap_[u];
-      in_start_[u] = in_tail;
-      in_cap_[u] = static_cast<std::uint32_t>(slack_capacity(add_in_[u]));
-      in_tail += in_cap_[u];
-      nbr_start_[u] = nbr_tail;
-      nbr_cap_[u] = out_cap_[u] + in_cap_[u];
-      nbr_tail += nbr_cap_[u];
-      continue;
-    }
-    const bool move_out = out_len_[u] + add_out_[u] > out_cap_[u];
-    const bool move_in = in_len_[u] + add_in_[u] > in_cap_[u];
-    if (move_out) {
-      reloc_out_[ti] = out_start_[u];
-      out_waste_ += out_cap_[u];
-      out_start_[u] = out_tail;
-      out_cap_[u] = static_cast<std::uint32_t>(
-          slack_capacity(out_len_[u] + add_out_[u]));
-      out_tail += out_cap_[u];
-    }
-    if (move_in) {
-      reloc_in_[ti] = in_start_[u];
-      in_waste_ += in_cap_[u];
-      in_start_[u] = in_tail;
-      in_cap_[u] = static_cast<std::uint32_t>(
-          slack_capacity(in_len_[u] + add_in_[u]));
-      in_tail += in_cap_[u];
-    }
-    if (move_out || move_in) {
-      nbr_waste_ += nbr_cap_[u];
-      nbr_start_[u] = nbr_tail;
-      nbr_cap_[u] = out_cap_[u] + in_cap_[u];
-      nbr_tail += nbr_cap_[u];
-    }
+    SideDelta& o = out_delta_[ti];
+    SideDelta& i = in_delta_[ti];
+    plan_region(u, o, old_n, out_start_, out_cap_, out_len_, out_waste_,
+                out_tail);
+    plan_region(u, i, old_n, in_start_, in_cap_, in_len_, in_waste_,
+                in_tail);
+    // A joining or relocated node gets a fresh neighbor region sized to
+    // its new out + in capacity.
+    const bool moved = o.old_start != kInPlace || i.old_start != kInPlace;
+    if (u < old_n && !moved) continue;
+    if (moved) nbr_waste_ += nbr_cap_[u];
+    nbr_start_[u] = nbr_tail;
+    nbr_cap_[u] = out_cap_[u] + in_cap_[u];
+    nbr_tail += nbr_cap_[u];
   }
   node_count_ = new_node_count;
   out_targets_.resize(out_tail);
   in_targets_.resize(in_tail);
   nbr_targets_.resize(nbr_tail);
-
-  // Out side: the batch is src-major, so each node's new targets are a
-  // contiguous ascending run addressed by the dense prefix of add_out_.
-  // In side: one stable counting scatter by dst yields per-target source
-  // runs in ascending order (stable over the src-sorted input); each
-  // cursor advances from its run's start to its end.
-  delta_out_base_.resize(new_node_count);
-  delta_in_end_.resize(new_node_count);
-  {
-    std::uint64_t out_run = 0, in_run = 0;
-    for (std::size_t u = 0; u < new_node_count; ++u) {
-      delta_out_base_[u] = out_run;
-      delta_in_end_[u] = in_run;
-      out_run += add_out_[u];
-      in_run += add_in_[u];
-    }
-  }
-  delta_in_src_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    delta_in_src_[delta_in_end_[dsts[i]]++] = srcs[i];
-  }
+  delta_nbr_.resize(2 * m);
 
   // Per-node work is independent (disjoint regions) — one parallel pass
-  // merges both sides and refreshes the neighbor union, byte-identical at
-  // any thread count.
+  // merges both sides and the neighbor view, byte-identical at any thread
+  // count. A node that keeps its regions merges into its neighbor list
+  // only the new neighbors it lacks; its region has room, since nbr_cap
+  // is out_cap + in_cap. A relocated node unions its lists afresh.
   core::parallel_for(touched_.size(), [&](std::size_t ti) {
     const std::size_t u = touched_[ti];
-    if (add_out_[u] > 0 || reloc_out_[ti] != kNoReloc) {
-      const NodeId* batch = dsts.data() + delta_out_base_[u];
-      NodeId* region = out_targets_.data() + out_start_[u];
-      if (reloc_out_[ti] != kNoReloc) {
-        const NodeId* old = out_targets_.data() + reloc_out_[ti];
-        std::merge(old, old + out_len_[u], batch, batch + add_out_[u],
-                   region);
-      } else {
-        merge_sorted_tail(region, out_len_[u], batch, add_out_[u]);
-      }
-      out_len_[u] += static_cast<std::uint32_t>(add_out_[u]);
+    const SideDelta& o = out_delta_[ti];
+    const SideDelta& i = in_delta_[ti];
+    const NodeId* new_out = dsts.data() + o.run;
+    const NodeId* new_in = delta_in_src_.data() + i.run;
+    merge_into_region(out_targets_.data(), out_start_[u], out_len_[u],
+                      o.old_start, new_out, o.add);
+    merge_into_region(in_targets_.data(), in_start_[u], in_len_[u],
+                      i.old_start, new_in, i.add);
+    if (o.old_start != kInPlace || i.old_start != kInPlace) {
+      rebuild_neighbors_of(u);
+      return;
     }
-    if (add_in_[u] > 0 || reloc_in_[ti] != kNoReloc) {
-      const NodeId* batch =
-          delta_in_src_.data() + (delta_in_end_[u] - add_in_[u]);
-      NodeId* region = in_targets_.data() + in_start_[u];
-      if (reloc_in_[ti] != kNoReloc) {
-        const NodeId* old = in_targets_.data() + reloc_in_[ti];
-        std::merge(old, old + in_len_[u], batch, batch + add_in_[u], region);
-      } else {
-        merge_sorted_tail(region, in_len_[u], batch, add_in_[u]);
-      }
-      in_len_[u] += static_cast<std::uint32_t>(add_in_[u]);
-    }
-    rebuild_neighbors_of(u);
+    NodeId* nbr = nbr_targets_.data() + nbr_start_[u];
+    const std::uint32_t len = nbr_len_[u];
+    // Disjoint scratch: the node's out and in run offsets sum to its share
+    // of the 2m-entry column.
+    NodeId* fresh = delta_nbr_.data() + o.run + i.run;
+    NodeId* end =
+        std::set_union(new_out, new_out + o.add, new_in, new_in + i.add, fresh);
+    end = std::remove_if(fresh, end, [&](NodeId v) {
+      return std::binary_search(nbr, nbr + len, v);
+    });
+    const auto added = static_cast<std::size_t>(end - fresh);
+    merge_sorted_tail(nbr, len, fresh, added);
+    nbr_len_[u] = len + static_cast<std::uint32_t>(added);
   });
   edge_count_ += m;
-
-  delta_in_src_.clear();
-  touched_.clear();
-  reloc_out_.clear();
-  reloc_in_.clear();
   return true;
 }
 

@@ -25,7 +25,9 @@
 //     SanTimeline link-index filter, packed or slack — big-buffer ping-pong,
 //     zero steady-state allocation — and the apps/projection.cpp topology);
 //   - `append_sorted_links` merges a sorted batch of new edges into the
-//     per-node regions (serial counting, parallel per-node merges).
+//     per-node regions. It finds the touched nodes from the batch alone,
+//     merges each one's new out, in and neighbor entries into its lists in
+//     parallel, and never walks the id space.
 //
 // The undirected neighbor merge runs chunked on the src/core/ substrate
 // (per-node disjoint writes, byte-identical at any thread count).
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/slack.hpp"
 
 namespace san::graph {
 
@@ -92,9 +95,12 @@ class CsrGraph {
   /// relocated to the tail with amortized-doubling capacity. Returns false
   /// — leaving the graph UNCHANGED — only when the relocation waste would
   /// exceed the live entries; the caller then compacts with a full
-  /// (re-slacked) rebuild. Counting is serial and the per-node merges
-  /// write disjoint ranges, so results are byte-identical at any
-  /// SAN_THREADS count.
+  /// (re-slacked) rebuild. Cost: O(m log m + joining nodes) to find and
+  /// count the touched nodes, plus one merge per touched list; a node that
+  /// keeps its regions merges only the neighbors it lacks into its
+  /// neighbor view. Counting is serial and the per-node merges write
+  /// disjoint ranges, so results are byte-identical at any SAN_THREADS
+  /// count.
   bool append_sorted_links(std::size_t new_node_count,
                            std::span<const NodeId> srcs,
                            std::span<const NodeId> dsts);
@@ -141,15 +147,17 @@ class CsrGraph {
   // Dead slots stranded by relocations; a full rebuild resets them.
   std::uint64_t out_waste_ = 0, in_waste_ = 0, nbr_waste_ = 0;
 
-  // append_sorted_links scratch (the base vectors double as
-  // rebuild_from_sorted_edges' offset prefixes), kept as members so
-  // steady-state appends — one batch per swept day — recycle capacity
-  // instead of allocating. All are empty outside a call.
-  std::vector<std::uint64_t> add_out_, add_in_;
-  std::vector<std::uint64_t> delta_out_base_, delta_in_end_;
-  std::vector<NodeId> delta_in_src_;
-  std::vector<NodeId> touched_;
-  std::vector<std::uint64_t> reloc_out_, reloc_in_;  // old starts, ~0 = none
+  // Offset prefixes of rebuild_from_sorted_edges, kept so repeated
+  // rebuilds recycle capacity.
+  std::vector<std::uint64_t> out_offsets_, in_offsets_;
+  // append_sorted_links scratch, kept so steady-state appends recycle
+  // capacity. slot_ grows only for joining nodes and holds kNoSlot outside
+  // a call (graph/slack.hpp); the rest is sized by the batch.
+  std::vector<std::uint32_t> slot_;
+  std::vector<NodeId> touched_;       // first-touch order
+  std::vector<SideDelta> out_delta_, in_delta_;  // per touched node
+  std::vector<NodeId> delta_in_src_;  // new in runs, by touched node
+  std::vector<NodeId> delta_nbr_;     // new neighbors, by touched node
 };
 
 }  // namespace san::graph

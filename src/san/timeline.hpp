@@ -17,9 +17,11 @@
 //     chunk-parallel copy pass, O(index entries of the nodes joined by t);
 //   - advance(snapshot, t'): build the snapshot at t' FROM its state at
 //     t <= t' by appending only the (t, t'] log slice into per-node
-//     adjacency slack (graph/slack.hpp) — O(new links + nodes) per day,
-//     falling back to a full rebuild when slack is exhausted or a
-//     previously dropped link activates. That rebuild is the same filter,
+//     adjacency slack (graph/slack.hpp). That costs O(m log m + joining
+//     nodes + still-dropped links) for m new links, plus one merge per
+//     touched list, with no pass over the id space. It falls back to a
+//     full rebuild when slack is exhausted or a previously dropped link
+//     activates. That rebuild is the same filter,
 //     laid out with slack headroom per node, plus one serial O(prefix)
 //     sweep collecting the dropped links when any were dropped;
 //   - sweep(times, visit): advance one snapshot through the grid, reusing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <numbers>
 #include <stdexcept>
@@ -14,18 +13,8 @@
 namespace san::serve {
 namespace {
 
-void append_double(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%llu",
-                static_cast<unsigned long long>(value));
-  out += buffer;
-}
+using core::append_double;
+using core::append_u64;
 
 [[noreturn]] void bad_option(const char* what) {
   throw std::invalid_argument(std::string("genload: ") + what);

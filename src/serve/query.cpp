@@ -1,6 +1,5 @@
 #include "serve/query.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -12,22 +11,8 @@
 namespace san::serve {
 namespace {
 
-// std::to_chars with a precision prints exactly what printf("%.17g") does
-// (the standard defines it that way), without the format-string parse
-// and locale lookups.
-void append_double(std::string& line, double value) {
-  char buffer[32];
-  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value,
-                                 std::chars_format::general, 17)
-                       .ptr;
-  line.append(buffer, end);
-}
-
-void append_u64(std::string& line, std::uint64_t value) {
-  char buffer[20];
-  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
-  line.append(buffer, end);
-}
+using core::append_double;
+using core::append_u64;
 
 [[noreturn]] void bad_line(std::size_t line_no, const std::string& what) {
   throw std::invalid_argument("workload line " + std::to_string(line_no) +

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <latch>
@@ -660,6 +662,28 @@ void split(const std::vector<std::pair<NodeId, NodeId>>& edges,
   }
 }
 
+/// Median wall time in ns of `step(s, k)` for each of two sizes s, over
+/// k in [0, reps). The sizes alternate, so host drift lands on both.
+template <typename Step>
+std::array<double, 2> median_ns(std::size_t reps, Step&& step) {
+  std::array<std::vector<double>, 2> ns;
+  for (std::size_t k = 0; k < reps; ++k) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      const auto t0 = std::chrono::steady_clock::now();
+      step(s, k);
+      ns[s].push_back(std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    }
+  }
+  std::array<double, 2> median{};
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::nth_element(ns[s].begin(), ns[s].begin() + reps / 2, ns[s].end());
+    median[s] = ns[s][reps / 2];
+  }
+  return median;
+}
+
 }  // namespace csr_append
 
 TEST(CsrAppend, SlackBuildMatchesDenseSpans) {
@@ -817,6 +841,93 @@ TEST(CsrAppend, RejectedAppendLeavesTheGraphUnchanged) {
   edges.insert(edges.end(), {{0, 2}, {1, 3}, {3, 1}});
   csr_append::expect_graphs_equal(g,
                                   san::graph::CsrGraph::from_edges(5, edges));
+}
+
+TEST(CsrAppend, IncrementalNeighborMergeMatchesFreshBuild) {
+  // A node that keeps its regions merges only its new neighbors into its
+  // neighbor list; compare every view against a fresh build after each
+  // batch.
+  const std::size_t n = 6000;
+  const NodeId hub = 5000;
+  std::vector<std::pair<NodeId, NodeId>> seen;
+  for (NodeId v = 3000; v < 3100; ++v) seen.emplace_back(v, hub);
+  for (NodeId v = 3100; v < 3150; ++v) seen.emplace_back(hub, v);
+  seen.emplace_back(1, 2);
+  seen.emplace_back(20, 21);
+  std::sort(seen.begin(), seen.end());
+  std::vector<NodeId> srcs, dsts;
+  csr_append::split(seen, srcs, dsts);
+  san::graph::CsrGraph g;
+  g.rebuild_from_sorted_edges(n, srcs, dsts, /*with_slack=*/true);
+
+  const auto append = [&](std::vector<std::pair<NodeId, NodeId>> batch) {
+    std::sort(batch.begin(), batch.end());
+    csr_append::split(batch, srcs, dsts);
+    ASSERT_TRUE(g.append_sorted_links(n, srcs, dsts));
+    seen.insert(seen.end(), batch.begin(), batch.end());
+    csr_append::expect_graphs_equal(g,
+                                    san::graph::CsrGraph::from_edges(n, seen));
+  };
+
+  std::vector<std::pair<NodeId, NodeId>> batch{
+      {2, 1},               // reverse of a present link: no duplicate
+      {10, 11}, {11, 10}};  // both directions of a new pair
+  // The hub gains in-links from ids below all its neighbors, so the merge
+  // shifts its whole list; it keeps its region (in cap 200, 110 live).
+  for (NodeId v = 0; v < 10; ++v) batch.emplace_back(v, hub);
+  // Node 20 outgrows its out region (cap 5) and relocates in the same
+  // batch.
+  for (NodeId v = 22; v < 27; ++v) batch.emplace_back(20, v);
+  // 2,400 touched nodes: more than one kDefaultGrain chunk of per-node
+  // merges.
+  for (NodeId k = 0; k < 1200; ++k) {
+    batch.emplace_back(100 + 2 * k, 101 + 2 * k);
+  }
+  append(std::move(batch));
+
+  batch.clear();
+  // Reverses of the wide batch: every neighbor is already present.
+  for (NodeId k = 0; k < 1200; ++k) {
+    batch.emplace_back(101 + 2 * k, 100 + 2 * k);
+  }
+  // Hub out-links to existing in-neighbors (0..4) and to a new low id.
+  for (NodeId v = 0; v < 5; ++v) batch.emplace_back(hub, v);
+  batch.emplace_back(hub, 12);
+  // Node 20 again (now in its relocated region) and node 21, in place.
+  batch.emplace_back(20, 27);
+  batch.emplace_back(21, 20);
+  append(std::move(batch));
+
+  batch.clear();
+  // The hub now outgrows its in region (cap 200, 110 live) while its
+  // in-neighbors stay in place.
+  for (NodeId v = 3200; v < 3300; ++v) batch.emplace_back(v, hub);
+  batch.emplace_back(hub, 13);
+  append(std::move(batch));
+}
+
+TEST(CsrAppend, OneLinkAppendDoesNotScaleWithNodeCount) {
+  // An append that joins no node costs O(batch): the median one-link
+  // append on 2^20 nodes stays within a small factor of the one on 2^12
+  // nodes (cache misses only). Any pass over the id space would scale
+  // with the 256x node ratio.
+  constexpr std::size_t kReps = 301;
+  std::vector<san::graph::CsrGraph> graphs(2);
+  const std::size_t sizes[2] = {std::size_t{1} << 12, std::size_t{1} << 20};
+  for (std::size_t s = 0; s < 2; ++s) {
+    graphs[s].rebuild_from_sorted_edges(sizes[s], {}, {}, /*with_slack=*/true);
+  }
+  const auto ns = csr_append::median_ns(kReps, [&](std::size_t s,
+                                                    std::size_t k) {
+    // Distinct sources (13 is odd, so k * 13 is distinct mod 2^12): each
+    // link is new and fits its nodes' slack.
+    const NodeId src[1] = {static_cast<NodeId>(k * 13 % sizes[s])};
+    const NodeId dst[1] = {static_cast<NodeId>((src[0] + 1) % sizes[s])};
+    ASSERT_TRUE(graphs[s].append_sorted_links(sizes[s], src, dst));
+  });
+  EXPECT_EQ(graphs[1].edge_count(), kReps);
+  EXPECT_LT(ns[1], 50 * ns[0]) << "2^12: " << ns[0] << " ns, 2^20: " << ns[1]
+                               << " ns";
 }
 
 // ---- BipartiteCsr append (slack layout) fast path. ----
@@ -981,6 +1092,27 @@ TEST(BipartiteCsr, RejectedCallsLeaveTheStructureUnchanged) {
   users.insert(users.end(), ok_user.begin(), ok_user.end());
   attrs.insert(attrs.end(), ok_attr.begin(), ok_attr.end());
   expect_matches(BipartiteCsr::from_links(4, 3, users, attrs));
+}
+
+TEST(BipartiteCsr, OneLinkAppendDoesNotScaleWithNodeCount) {
+  // The bipartite twin of CsrAppend.OneLinkAppendDoesNotScaleWithNodeCount:
+  // a one-link append that joins no user or attribute costs O(batch).
+  constexpr std::size_t kReps = 301;
+  std::vector<BipartiteCsr> csrs(2);
+  const std::size_t sizes[2] = {std::size_t{1} << 12, std::size_t{1} << 20};
+  for (std::size_t s = 0; s < 2; ++s) {
+    csrs[s].rebuild_from_links(sizes[s], sizes[s], {}, {},
+                               /*with_slack=*/true);
+  }
+  const auto ns = csr_append::median_ns(kReps, [&](std::size_t s,
+                                                    std::size_t k) {
+    const NodeId user[1] = {static_cast<NodeId>(k * 13 % sizes[s])};
+    const AttrId attr[1] = {static_cast<AttrId>(k * 29 % sizes[s])};
+    ASSERT_TRUE(csrs[s].append_links(sizes[s], sizes[s], user, attr));
+  });
+  EXPECT_EQ(csrs[1].link_count(), kReps);
+  EXPECT_LT(ns[1], 50 * ns[0]) << "2^12: " << ns[0] << " ns, 2^20: " << ns[1]
+                               << " ns";
 }
 
 }  // namespace
