@@ -1,6 +1,7 @@
 #include "apps/projection.hpp"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace san::apps {
@@ -52,8 +53,9 @@ graph::CsrGraph degree_bounded_undirected(const graph::CsrGraph& social,
   std::vector<std::uint32_t> in_degree = degree;
   std::vector<NodeId> in_targets = targets;
   graph::CsrGraph topology;
-  topology.adopt_adjacency(n, offsets, degree, targets, offsets, in_degree,
-                           in_targets);
+  topology.adopt_adjacency(n, offsets, std::move(degree), std::move(targets),
+                           offsets, std::move(in_degree),
+                           std::move(in_targets));
   return topology;
 }
 

@@ -72,18 +72,18 @@ void BipartiteCsr::rebuild_from_links(std::size_t left_count,
   // Both sides are stable counting sorts. Right side: bucket the links by
   // attribute in input order, so members_of(a) keeps the (time) order of
   // the input links.
-  cursor_.assign(right_start_.begin(), right_start_.end());
+  std::vector<std::uint64_t> cursor(right_start_.begin(), right_start_.end());
   for (std::size_t i = 0; i < m; ++i) {
-    right_targets_[cursor_[attrs[i]]++] = users[i];
+    right_targets_[cursor[attrs[i]]++] = users[i];
   }
   // Left side from the right side: walking attributes in ascending order
   // and bucketing their members by user yields per-user attribute lists
   // already sorted ascending — no per-user sort.
-  cursor_.assign(left_start_.begin(), left_start_.end());
+  cursor.assign(left_start_.begin(), left_start_.end());
   for (std::size_t a = 0; a < right_count; ++a) {
     const NodeId* members = right_targets_.data() + right_start_[a];
     for (std::uint32_t j = 0; j < right_len_[a]; ++j) {
-      left_targets_[cursor_[members[j]]++] = static_cast<AttrId>(a);
+      left_targets_[cursor[members[j]]++] = static_cast<AttrId>(a);
     }
   }
 }

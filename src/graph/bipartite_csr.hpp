@@ -19,9 +19,7 @@
 // space. A node that outgrows its region is RELOCATED to the array tail
 // with doubled capacity (the old region becomes tracked waste); only when
 // accumulated waste would exceed the live links does append refuse and
-// the caller compacts with a full rebuild. `rebuild_from_links` reuses
-// the arrays' capacity, so a snapshot sweep touches the allocator only
-// while the arrays are still growing.
+// the caller compacts with a full rebuild.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +45,9 @@ class BipartiteCsr {
                                  std::span<const NodeId> users,
                                  std::span<const AttrId> attrs);
 
-  /// Same as from_links but rebuilds in place, reusing this object's array
-  /// capacity (the sweep fast path). `with_slack` builds the
-  /// append-friendly layout (graph/slack.hpp).
+  /// Same as from_links but rebuilds in place (the full-rebuild fallback
+  /// of the delta sweep). `with_slack` builds the append-friendly layout
+  /// (graph/slack.hpp).
   void rebuild_from_links(std::size_t left_count, std::size_t right_count,
                           std::span<const NodeId> users,
                           std::span<const AttrId> attrs,
@@ -108,9 +106,6 @@ class BipartiteCsr {
   std::vector<NodeId> right_targets_;
   // Dead slots stranded by relocations; a full rebuild resets them.
   std::uint64_t left_waste_ = 0, right_waste_ = 0;
-  // rebuild_from_links' counting-sort cursors, kept so rebuilds recycle
-  // capacity.
-  std::vector<std::uint64_t> cursor_;
   // append_links scratch, kept so steady-state appends recycle capacity.
   // The slot arrays grow only for joining nodes and hold kNoSlot outside a
   // call (graph/slack.hpp); the rest is sized by the batch.

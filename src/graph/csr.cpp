@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "core/parallel.hpp"
 #include "graph/slack.hpp"
@@ -91,25 +92,23 @@ void CsrGraph::rebuild_from_sorted_edges(std::size_t node_count,
     ++kept;
   }
   edge_count_ = kept;
-  // The offset prefixes are members, so repeated rebuilds recycle
-  // capacity.
-  out_offsets_.assign(node_count + 1, 0);
-  in_offsets_.assign(node_count + 1, 0);
+  std::vector<std::uint64_t> out_offsets(node_count + 1, 0);
+  std::vector<std::uint64_t> in_offsets(node_count + 1, 0);
   for (std::size_t u = 0; u < node_count; ++u) {
     const std::size_t out_cap =
         with_slack ? slack_capacity(out_len_[u]) : out_len_[u];
     const std::size_t in_cap =
         with_slack ? slack_capacity(in_len_[u]) : in_len_[u];
-    out_offsets_[u + 1] = out_offsets_[u] + out_cap;
-    in_offsets_[u + 1] = in_offsets_[u] + in_cap;
+    out_offsets[u + 1] = out_offsets[u] + out_cap;
+    in_offsets[u + 1] = in_offsets[u] + in_cap;
   }
-  adopt_layout(node_count, out_offsets_, in_offsets_);
+  adopt_layout(node_count, out_offsets, in_offsets);
 
   // Outgoing lists fill in input order (already dst-sorted per src); the
   // incoming scatter visits sources in ascending order per target, so
   // in-lists come out sorted as well.
-  out_targets_.resize(out_offsets_.back());
-  in_targets_.resize(in_offsets_.back());
+  out_targets_.resize(out_offsets.back());
+  in_targets_.resize(in_offsets.back());
   {
     // Src-major input: one running out cursor that jumps to the node's
     // storage start whenever the source changes.
@@ -161,11 +160,11 @@ void CsrGraph::adopt_layout(std::size_t node_count,
 
 void CsrGraph::adopt_adjacency(std::size_t node_count,
                                std::span<const std::uint64_t> out_offsets,
-                               std::vector<std::uint32_t>& out_len,
-                               std::vector<NodeId>& out_targets,
+                               std::vector<std::uint32_t> out_len,
+                               std::vector<NodeId> out_targets,
                                std::span<const std::uint64_t> in_offsets,
-                               std::vector<std::uint32_t>& in_len,
-                               std::vector<NodeId>& in_targets) {
+                               std::vector<std::uint32_t> in_len,
+                               std::vector<NodeId> in_targets) {
   if (out_offsets.size() != node_count + 1 ||
       in_offsets.size() != node_count + 1 || out_len.size() != node_count ||
       in_len.size() != node_count || out_offsets.front() != 0 ||
@@ -209,10 +208,10 @@ void CsrGraph::adopt_adjacency(std::size_t node_count,
 #endif
   edge_count_ = out_total;
   adopt_layout(node_count, out_offsets, in_offsets);
-  std::swap(out_len_, out_len);
-  std::swap(out_targets_, out_targets);
-  std::swap(in_len_, in_len);
-  std::swap(in_targets_, in_targets);
+  out_len_ = std::move(out_len);
+  out_targets_ = std::move(out_targets);
+  in_len_ = std::move(in_len);
+  in_targets_ = std::move(in_targets);
   build_neighbor_view();
 }
 

@@ -21,9 +21,9 @@
 //   - `from_sorted_edges` / `rebuild_from_sorted_edges` accept edges sorted
 //     by (src, dst) and build all three adjacency views in O(edges + nodes)
 //     with no comparison sort;
-//   - `adopt_adjacency` swaps in externally built length/target arrays (the
-//     SanTimeline link-index filter, packed or slack — big-buffer ping-pong,
-//     zero steady-state allocation — and the apps/projection.cpp topology);
+//   - `adopt_adjacency` takes over externally built length/target arrays
+//     by move (the SanTimeline link-index filter, packed or slack, and the
+//     apps/projection.cpp topology);
 //   - `append_sorted_links` merges a sorted batch of new edges into the
 //     per-node regions. It finds the touched nodes from the batch alone,
 //     merges each one's new out, in and neighbor entries into its lists in
@@ -59,32 +59,31 @@ class CsrGraph {
       std::size_t node_count, std::span<const std::pair<NodeId, NodeId>> edges);
 
   /// Structure-of-arrays variant of from_sorted_edges that rebuilds in
-  /// place, reusing this object's array capacity (the sweep fast path).
-  /// `with_slack` builds the append-friendly layout (graph/slack.hpp)
-  /// instead of packing the regions densely.
+  /// place. `with_slack` builds the append-friendly layout
+  /// (graph/slack.hpp) instead of packing the regions densely.
   void rebuild_from_sorted_edges(std::size_t node_count,
                                  std::span<const NodeId> srcs,
                                  std::span<const NodeId> dsts,
                                  bool with_slack = false);
 
   /// Expert fast path (SanTimeline): adopt externally built out/in
-  /// adjacency. The length and target vectors are SWAPPED in — on return
-  /// they hold this graph's previous arrays, so a sweep ping-pongs two
-  /// buffer sets with zero steady-state allocation; the offset vectors are
-  /// only read. Offsets are monotone per-node storage starts over
-  /// node_count+1 entries (dense prefix sums or a slack layout with
-  /// offsets[u+1] - offsets[u] slots reserved for u); lengths give the live
-  /// entries per node and each live per-node target range must be sorted,
-  /// unique, and loop-free. Cheap shape invariants are always checked,
-  /// full sortedness only in debug builds. The undirected neighbor view is
-  /// rebuilt here (chunked on the core substrate).
+  /// adjacency. The length and target vectors are taken by value (move
+  /// them in); the offset vectors are only read. Offsets are monotone
+  /// per-node storage starts over node_count+1 entries (dense prefix sums
+  /// or a slack layout with offsets[u+1] - offsets[u] slots reserved for
+  /// u); lengths give the live entries per node and each live per-node
+  /// target range must be sorted, unique, and loop-free. Cheap shape
+  /// invariants are always checked, full sortedness only in debug builds;
+  /// a rejected call throws std::invalid_argument and leaves the graph
+  /// unchanged. The undirected neighbor view is rebuilt here (chunked on
+  /// the core substrate).
   void adopt_adjacency(std::size_t node_count,
                        std::span<const std::uint64_t> out_offsets,
-                       std::vector<std::uint32_t>& out_len,
-                       std::vector<NodeId>& out_targets,
+                       std::vector<std::uint32_t> out_len,
+                       std::vector<NodeId> out_targets,
                        std::span<const std::uint64_t> in_offsets,
-                       std::vector<std::uint32_t>& in_len,
-                       std::vector<NodeId>& in_targets);
+                       std::vector<std::uint32_t> in_len,
+                       std::vector<NodeId> in_targets);
 
   /// Append a batch of new edges in place — the delta-sweep fast path. The
   /// batch must be sorted by (src, dst), free of self loops, and disjoint
@@ -147,9 +146,6 @@ class CsrGraph {
   // Dead slots stranded by relocations; a full rebuild resets them.
   std::uint64_t out_waste_ = 0, in_waste_ = 0, nbr_waste_ = 0;
 
-  // Offset prefixes of rebuild_from_sorted_edges, kept so repeated
-  // rebuilds recycle capacity.
-  std::vector<std::uint64_t> out_offsets_, in_offsets_;
   // append_sorted_links scratch, kept so steady-state appends recycle
   // capacity. slot_ grows only for joining nodes and holds kNoSlot outside
   // a call (graph/slack.hpp); the rest is sized by the batch.

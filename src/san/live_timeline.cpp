@@ -19,15 +19,11 @@ namespace {
 
 LiveTimeline::LiveTimeline(const SocialAttributeNetwork& seed,
                            LiveTimelineOptions options)
-    : log_(seed), timeline_(log_), options_(options) {
-  if (options_.batches_per_epoch == 0) {
-    throw std::invalid_argument(
-        "LiveTimeline: batches_per_epoch must be >= 1");
-  }
-  tip_ = std::isnan(options_.initial_tip) ? timeline_.max_time()
-                                          : options_.initial_tip;
+    : log_(seed), timeline_(log_) {
+  tip_ = std::isnan(options.initial_tip) ? timeline_.max_time()
+                                         : options.initial_tip;
   std::lock_guard<std::mutex> lock(mutex_);
-  publish_locked();  // epoch 0: the seed's complete snapshot
+  publish_locked(0);  // epoch 0: the seed's complete snapshot
 }
 
 double LiveTimeline::ingest(const IngestBatch& batch) {
@@ -133,15 +129,12 @@ double LiveTimeline::ingest(const IngestBatch& batch) {
   }
   stats_.pending_links = pending_social_.size() + pending_attr_.size();
 
-  // Ingest-to-publish latency starts at the FIRST batch an unpublished
-  // work state absorbs — later batches in the same epoch ride the same
-  // clock, measuring how stale the oldest admitted-but-invisible data is.
-  if (obs::timing_enabled() && pending_since_ns_ == 0) {
-    pending_since_ns_ = obs::now_ns();
-  }
+  // Ingest-to-publish latency runs from here, the batch's admission, to
+  // its epoch becoming visible.
+  const std::uint64_t admitted_ns = obs::timing_enabled() ? obs::now_ns() : 0;
 
   // Index the new events off the serve path — readers keep loading the
-  // published epoch; the buffer advance waits for publication.
+  // published epoch until the publish below.
   {
     obs::TraceSpan span("live.absorb");
     obs::ScopedTimer timer(absorb_ns_.get());
@@ -154,24 +147,12 @@ double LiveTimeline::ingest(const IngestBatch& batch) {
     ++stats_.late_batches;
   }
   tip_ = batch.tip;
-  tip_published_ = false;
   ++stats_.batches;
-  if (++batches_since_publish_ >= options_.batches_per_epoch) {
-    publish_locked();
-  }
+  publish_locked(admitted_ns);
   return tip_;
 }
 
-void LiveTimeline::publish() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  publish_locked();
-}
-
-void LiveTimeline::publish_locked() {
-  if (tip_published_) {
-    batches_since_publish_ = 0;
-    return;
-  }
+void LiveTimeline::publish_locked(std::uint64_t admitted_ns) {
   // Recycle an epoch buffer no handle references; the currently published
   // one is pinned by the handle in the atomic itself. A buffer's last
   // handle release-stores its idle flag, so this acquire load orders every
@@ -204,26 +185,25 @@ void LiveTimeline::publish_locked() {
         [buffer = slot->buffer, idle = slot->idle](const SanSnapshot*) {
           idle->store(true, std::memory_order_release);
         });
+    // libstdc++'s atomic<shared_ptr>::load drops its lock bit with a
+    // relaxed RMW, so a reader's tip() does not happen-before this store
+    // through the lock. Its reference-count increment (acq_rel) does: a
+    // load here acquires it before the pointer is overwritten.
+    const auto retired = published_.load(std::memory_order_acquire);
     published_.store(std::move(handle), std::memory_order_release);
   }
   epoch_.store(stats_.epochs, std::memory_order_release);
   ++stats_.epochs;
-  batches_since_publish_ = 0;
-  tip_published_ = true;
-  record_publish_latency_locked();
+  record_publish_latency_locked(admitted_ns);
 }
 
-void LiveTimeline::record_publish_latency_locked() {
+void LiveTimeline::record_publish_latency_locked(std::uint64_t admitted_ns) {
   if (!obs::timing_enabled()) {
-    pending_since_ns_ = 0;
     last_publish_ns_ = 0;
     return;
   }
   const std::uint64_t now = obs::now_ns();
-  if (pending_since_ns_ != 0) {
-    ingest_to_publish_ns_->record(now - pending_since_ns_);
-    pending_since_ns_ = 0;
-  }
+  if (admitted_ns != 0) ingest_to_publish_ns_->record(now - admitted_ns);
   if (last_publish_ns_ != 0) {
     epoch_gap_ns_->record(now - last_publish_ns_);
   }

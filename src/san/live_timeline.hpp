@@ -8,12 +8,12 @@
 //        the prefix every published epoch is gated against);
 //     2. absorb the new events into the columnar timeline index
 //        (SanTimeline::absorb — a stable suffix merge, not a re-sort);
-//     3. every `batches_per_epoch` batches, PUBLISH: pick an epoch buffer
-//        no reader holds and bring it to the tip in place with its own
-//        Materializer::advance — the PR 4 delta-append fast path (per-node
-//        slack, relocation, deferred-link activation). With no readers
-//        pinning old epochs two buffers alternate, so each advance covers
-//        the events of the last two epochs;
+//     3. PUBLISH: pick an epoch buffer no reader holds and bring it to the
+//        batch's tip in place with its own Materializer::advance — the
+//        delta-append fast path (per-node slack, relocation, deferred-link
+//        activation). With no readers pinning old epochs two buffers
+//        alternate, so each advance covers the events of the last two
+//        batches;
 //     4. atomically swap the shared_ptr readers load. Nothing is copied:
 //        the advanced buffer itself becomes the epoch.
 //
@@ -89,11 +89,6 @@ struct IngestBatch {
 };
 
 struct LiveTimelineOptions {
-  /// Publish cadence: a new epoch becomes visible every N ingested
-  /// batches (>= 1); publish() forces one. Batches in between only append
-  /// to the log and the index — the buffer advance waits for publication,
-  /// which costs O(events since that buffer's epoch), not O(network).
-  std::size_t batches_per_epoch = 1;
   /// Tip of the seed epoch. NaN (the default) derives it from the seed's
   /// max event time; pass an explicit tip when the seed schedules events
   /// in the future (e.g. the full attribute catalog with later creation
@@ -136,16 +131,12 @@ class LiveTimeline {
   LiveTimeline(const LiveTimeline&) = delete;
   LiveTimeline& operator=(const LiveTimeline&) = delete;
 
-  /// Ingest one batch and advance the tip to batch.tip (returned).
+  /// Ingest one batch and publish its tip (returned) as a new epoch.
   /// Serializes with other writers on an internal mutex; never blocks
   /// readers. Throws std::invalid_argument on a non-advancing or
   /// non-finite tip, NaN times, or out-of-order node joins — the log is
   /// unchanged on throw.
   double ingest(const IngestBatch& batch);
-
-  /// Force publication of the current tip as a new epoch (a no-op when
-  /// the tip is already published).
-  void publish();
 
   /// The latest published epoch snapshot: one atomic load, lock-free with
   /// respect to writers. The snapshot is immutable; hold it as long as
@@ -163,9 +154,9 @@ class LiveTimeline {
   /// Attach this frontier's ingest telemetry to `registry` under `prefix`:
   /// phase latency histograms (`<prefix>.absorb` per batch; `.advance`,
   /// the epoch buffer's in-place advance, and `.publish`, the pointer
-  /// swap, per published epoch), `<prefix>.ingest_to_publish` (first
-  /// unpublished batch admitted -> epoch visible to readers),
-  /// `<prefix>.epoch_gap` (publish cadence), fn gauges over the Stats
+  /// swap, per published epoch), `<prefix>.ingest_to_publish` (batch
+  /// admitted -> its epoch visible to readers), `<prefix>.epoch_gap`
+  /// (time between publishes), fn gauges over the Stats
   /// fields (`<prefix>.epochs`, `.batches`, `.late_batches`,
   /// `.pending_links`, `.activated_links`, `.ingested_links`,
   /// `.rejected_links`) and `<prefix>.epoch_buffers` (the recycle pool
@@ -195,20 +186,20 @@ class LiveTimeline {
     SanTimeline::Materializer materializer;
   };
 
-  void publish_locked();
-  void record_publish_latency_locked();
+  // Publish tip_ as the next epoch; `admitted_ns` is the clock reading at
+  // the batch's admission (0: none, e.g. the seed epoch).
+  void publish_locked(std::uint64_t admitted_ns);
+  void record_publish_latency_locked(std::uint64_t admitted_ns);
 
   mutable std::mutex mutex_;  // serializes writers; readers never take it
   SocialAttributeNetwork log_;
   SanTimeline timeline_;
-  double tip_ = 0.0;  // ingest frontier (>= published tip)
-  std::size_t batches_since_publish_ = 0;
-  bool tip_published_ = false;  // is tip_ the published epoch's time?
-  LiveTimelineOptions options_;
+  double tip_ = 0.0;  // ingest frontier, the published epoch's time
   Stats stats_;
-  // Ingest telemetry (obs/metrics.hpp): phase latencies plus publish
-  // cadence. The tracking timestamps are guarded by mutex_ like the rest
-  // of the writer state; clock reads happen only while timing is enabled.
+  // Ingest telemetry (obs/metrics.hpp): phase latencies plus the gap
+  // between publishes. The last-publish timestamp is guarded by mutex_
+  // like the rest of the writer state; clock reads happen only while
+  // timing is enabled.
   std::shared_ptr<obs::Histogram> absorb_ns_ =
       std::make_shared<obs::Histogram>();
   std::shared_ptr<obs::Histogram> advance_ns_ =
@@ -219,7 +210,6 @@ class LiveTimeline {
       std::make_shared<obs::Histogram>();
   std::shared_ptr<obs::Histogram> epoch_gap_ns_ =
       std::make_shared<obs::Histogram>();
-  std::uint64_t pending_since_ns_ = 0;  // first unpublished batch admission
   std::uint64_t last_publish_ns_ = 0;
   // Held links whose endpoint ids do not exist yet, in admission order.
   std::vector<TimedSocialEdge> pending_social_;

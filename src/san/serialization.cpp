@@ -17,8 +17,8 @@ void expect(bool condition, const char* message) {
 }
 
 /// Insert one record, rethrowing the network's own rejection (an unknown
-/// id, a decreasing join time) as a load_san error that names the section
-/// and the record's index within it.
+/// id, a decreasing join time, or a link the insert refused) as a load_san
+/// error that names the section and the record's index within it.
 template <typename Insert>
 void insert_record(const char* section, std::uint64_t index, Insert&& insert) {
   try {
@@ -104,8 +104,12 @@ SocialAttributeNetwork load_san(std::istream& in) {
     NodeId u = 0, v = 0;
     double time = 0.0;
     expect(static_cast<bool>(in >> u >> v >> time), "truncated social link");
-    insert_record("social_links", i,
-                  [&] { network.add_social_link(u, v, time); });
+    insert_record("social_links", i, [&] {
+      // A dropped record would leave the header count wrong: reject it.
+      if (!network.add_social_link(u, v, time)) {
+        throw std::invalid_argument(u == v ? "self link" : "duplicate link");
+      }
+    });
   }
 
   expect(static_cast<bool>(in >> token >> n_links) &&
@@ -116,8 +120,11 @@ SocialAttributeNetwork load_san(std::istream& in) {
     AttrId a = 0;
     double time = 0.0;
     expect(static_cast<bool>(in >> u >> a >> time), "truncated attribute link");
-    insert_record("attribute_links", i,
-                  [&] { network.add_attribute_link(u, a, time); });
+    insert_record("attribute_links", i, [&] {
+      if (!network.add_attribute_link(u, a, time)) {
+        throw std::invalid_argument("duplicate link");
+      }
+    });
   }
   return network;
 }

@@ -14,7 +14,9 @@ namespace san {
 void save_san(const SocialAttributeNetwork& network, std::ostream& out);
 void save_san(const SocialAttributeNetwork& network, const std::string& path);
 
-/// Parse a "SANv1" stream. Throws std::runtime_error on malformed input.
+/// Parse a "SANv1" stream. Throws std::runtime_error on malformed input,
+/// naming the section and record index of a bad record (an unknown id, a
+/// decreasing join time, a duplicate or self link).
 SocialAttributeNetwork load_san(std::istream& in);
 SocialAttributeNetwork load_san(const std::string& path);
 

@@ -76,15 +76,6 @@ void apply_suffix_permutation(std::vector<T>& column, std::size_t pos,
 
 }  // namespace
 
-// Attribute links of one build: the filtered prefix in time order, plus
-// every dropped link (those activate later, when their user joins or their
-// attribute is created).
-struct SanTimeline::AttrLinkBuffers {
-  std::vector<NodeId> users;
-  std::vector<AttrId> attrs;
-  std::vector<std::pair<NodeId, AttrId>> deferred;
-};
-
 // Full-network link index behind every social build: the out- and in-CSR of
 // the whole social log. Node u's entries [off[u], off[u + 1]) are sorted by
 // neighbour id, and each carries its link's position in the time-sorted log,
@@ -99,31 +90,19 @@ struct SanTimeline::LinkIndex {
   std::vector<Entry> out, in;
 };
 
-// Social CSR of one build, handed to the snapshot's CsrGraph by buffer swap
-// (adopt_adjacency): storage starts (dense prefix sums or the slack
-// layout's capacity prefix), live lengths and targets. A slack build keeps
-// them in its Scratch, so full rebuilds ping-pong two buffer sets with zero
-// steady-state allocation; it also keeps every dropped link (those activate
-// later, when their endpoint joins).
-struct SanTimeline::SocialBuffers {
-  std::vector<std::uint64_t> out_off, in_off;
-  std::vector<std::uint32_t> out_len, in_len;
-  std::vector<NodeId> out_targets, in_targets;
-  std::vector<std::pair<NodeId, NodeId>> deferred;
-};
-
 struct SanTimeline::Scratch {
-  SocialBuffers social;
-  AttrLinkBuffers attr_links;
-
   // Delta-sweep state: the generation of the snapshot this scratch last
   // produced (kNoGeneration: none, the next advance rebuilds), the log
-  // prefixes it covers.
+  // prefixes it covers, and the links that snapshot dropped, in log order
+  // (they activate later, when their endpoint joins or their attribute is
+  // created).
   std::uint64_t generation = kNoGeneration;
   std::size_t n_social = 0;
   std::size_t edge_prefix = 0;
   std::size_t link_prefix = 0;
   std::size_t created_prefix = 0;
+  std::vector<std::pair<NodeId, NodeId>> deferred_social;
+  std::vector<std::pair<NodeId, AttrId>> deferred_attr;
   // advance() working sets.
   std::vector<std::pair<NodeId, NodeId>> delta_edges;
   std::vector<NodeId> delta_src, delta_dst;
@@ -369,12 +348,13 @@ const SanTimeline::LinkIndex& SanTimeline::link_index() const {
 // joined node's surviving entries per direction, a serial prefix sum lays
 // them out (packed, or with slack headroom per node so advance() can
 // append later days in place), and one chunk-parallel pass copies them —
-// already sorted, because each index list is. Per-node writes are
-// disjoint, so the result is byte-identical at any thread count.
+// already sorted, because each index list is — into fresh arrays the
+// snapshot adopts. Per-node writes are disjoint, so the result is
+// byte-identical at any thread count.
 std::size_t SanTimeline::filter_social(std::size_t n_social,
                                        std::size_t edge_prefix,
-                                       SanSnapshot& snap, SocialBuffers& b,
-                                       bool slack) const {
+                                       SanSnapshot& snap,
+                                       Scratch* slack) const {
   const LinkIndex& index = link_index();
   // Visits node u's surviving entries: neighbours < n_social form a prefix
   // of its sorted list.
@@ -388,45 +368,44 @@ std::size_t SanTimeline::filter_social(std::size_t n_social,
     }
   };
 
-  b.out_len.resize(n_social);
-  b.in_len.resize(n_social);
+  std::vector<std::uint32_t> out_len(n_social), in_len(n_social);
   core::parallel_for(n_social, [&](std::size_t u) {
     std::uint32_t out = 0, in = 0;
     for_each_kept(index.out_off, index.out, u, [&](NodeId) { ++out; });
     for_each_kept(index.in_off, index.in, u, [&](NodeId) { ++in; });
-    b.out_len[u] = out;
-    b.in_len[u] = in;
+    out_len[u] = out;
+    in_len[u] = in;
   });
   const auto capacity = [&](std::uint32_t len) -> std::uint64_t {
     return slack ? graph::slack_capacity(len) : len;
   };
-  b.out_off.assign(n_social + 1, 0);
-  b.in_off.assign(n_social + 1, 0);
+  std::vector<std::uint64_t> out_off(n_social + 1, 0), in_off(n_social + 1, 0);
   std::size_t kept = 0;
   for (std::size_t u = 0; u < n_social; ++u) {
-    b.out_off[u + 1] = b.out_off[u] + capacity(b.out_len[u]);
-    b.in_off[u + 1] = b.in_off[u] + capacity(b.in_len[u]);
-    kept += b.out_len[u];
+    out_off[u + 1] = out_off[u] + capacity(out_len[u]);
+    in_off[u + 1] = in_off[u] + capacity(in_len[u]);
+    kept += out_len[u];
   }
-  b.out_targets.resize(b.out_off[n_social]);
-  b.in_targets.resize(b.in_off[n_social]);
+  std::vector<NodeId> out_targets(out_off[n_social]);
+  std::vector<NodeId> in_targets(in_off[n_social]);
   core::parallel_for(n_social, [&](std::size_t u) {
-    NodeId* out = b.out_targets.data() + b.out_off[u];
-    NodeId* in = b.in_targets.data() + b.in_off[u];
+    NodeId* out = out_targets.data() + out_off[u];
+    NodeId* in = in_targets.data() + in_off[u];
     for_each_kept(index.out_off, index.out, u, [&](NodeId v) { *out++ = v; });
     for_each_kept(index.in_off, index.in, u, [&](NodeId v) { *in++ = v; });
   });
-  snap.social.adopt_adjacency(n_social, b.out_off, b.out_len, b.out_targets,
-                              b.in_off, b.in_len, b.in_targets);
+  snap.social.adopt_adjacency(n_social, out_off, std::move(out_len),
+                              std::move(out_targets), in_off,
+                              std::move(in_len), std::move(in_targets));
 
   // The common case drops nothing; otherwise one serial sweep collects the
   // links whose endpoint has not joined yet, in log order.
   if (slack) {
-    b.deferred.clear();
+    slack->deferred_social.clear();
     if (kept < edge_prefix) {
       for (std::size_t i = 0; i < edge_prefix; ++i) {
         if (edge_src_[i] >= n_social || edge_dst_[i] >= n_social) {
-          b.deferred.emplace_back(edge_src_[i], edge_dst_[i]);
+          slack->deferred_social.emplace_back(edge_src_[i], edge_dst_[i]);
         }
       }
     }
@@ -436,26 +415,30 @@ std::size_t SanTimeline::filter_social(std::size_t n_social,
 
 // Attribute links: the prefix is already in stable time order, so a
 // filtered copy preserves exactly the order the naive path produces.
-// Dropped links are remembered — they activate once their user joins or
-// their attribute is created.
-void SanTimeline::build_attribute_links(std::size_t n_social,
-                                        std::size_t link_prefix,
-                                        SanSnapshot& snap,
-                                        AttrLinkBuffers& buffers,
-                                        bool slack) const {
-  buffers.users.clear();
-  buffers.attrs.clear();
-  buffers.deferred.clear();
+// Dropped links are counted and, for a slack build, remembered — they
+// activate once their user joins or their attribute is created.
+std::size_t SanTimeline::build_attribute_links(std::size_t n_social,
+                                               std::size_t link_prefix,
+                                               SanSnapshot& snap,
+                                               Scratch* slack) const {
+  std::vector<NodeId> users;
+  std::vector<AttrId> attrs;
+  std::size_t dropped = 0;
+  if (slack) slack->deferred_attr.clear();
   for (std::size_t i = 0; i < link_prefix; ++i) {
     if (link_user_[i] >= n_social || !snap.attribute_created[link_attr_[i]]) {
-      buffers.deferred.emplace_back(link_user_[i], link_attr_[i]);
+      ++dropped;
+      if (slack) {
+        slack->deferred_attr.emplace_back(link_user_[i], link_attr_[i]);
+      }
       continue;
     }
-    buffers.users.push_back(link_user_[i]);
-    buffers.attrs.push_back(link_attr_[i]);
+    users.push_back(link_user_[i]);
+    attrs.push_back(link_attr_[i]);
   }
-  snap.attribute.rebuild_from_links(n_social, attr_times_.size(),
-                                    buffers.users, buffers.attrs, slack);
+  snap.attribute.rebuild_from_links(n_social, attr_times_.size(), users,
+                                    attrs, slack != nullptr);
+  return dropped;
 }
 
 void SanTimeline::materialize(double time, SanSnapshot& snap,
@@ -465,10 +448,8 @@ void SanTimeline::materialize(double time, SanSnapshot& snap,
 
   const std::size_t n_social = prefix_at(social_node_times_, time);
   const std::size_t edge_prefix = prefix_at(edge_time_, time);
-  SocialBuffers dense_social;
   const std::size_t dropped_edges =
-      filter_social(n_social, edge_prefix, snap,
-                    slack ? slack->social : dense_social, slack != nullptr);
+      filter_social(n_social, edge_prefix, snap, slack);
 
   // Attribute nodes created by t; ids stay dense and aligned.
   const std::size_t n_attr = attr_times_.size();
@@ -483,11 +464,10 @@ void SanTimeline::materialize(double time, SanSnapshot& snap,
   snap.created_attribute_count = created_prefix;
 
   const std::size_t link_prefix = prefix_at(link_time_, time);
-  AttrLinkBuffers dense_links;
-  AttrLinkBuffers& links = slack ? slack->attr_links : dense_links;
-  build_attribute_links(n_social, link_prefix, snap, links, slack != nullptr);
+  const std::size_t dropped_links =
+      build_attribute_links(n_social, link_prefix, snap, slack);
   snap.attribute_link_count = snap.attribute.link_count();
-  snap.dropped_link_count = dropped_edges + links.deferred.size();
+  snap.dropped_link_count = dropped_edges + dropped_links;
   if (!slack) return;
 
   // A slack build is advance-ready: remember what `snap` now holds.
@@ -524,20 +504,20 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   // ---- Social graph: activated deferred links + the (t, t'] slice are
   // one sorted batch appended into the per-node slack. ----
   s.delta_edges.clear();
-  if (n_new > s.n_social && !s.social.deferred.empty()) {
+  if (n_new > s.n_social && !s.deferred_social.empty()) {
     std::size_t w = 0;
-    for (const auto& e : s.social.deferred) {
+    for (const auto& e : s.deferred_social) {
       if (e.first < n_new && e.second < n_new) {
         s.delta_edges.push_back(e);  // endpoint joined: the link activates
       } else {
-        s.social.deferred[w++] = e;
+        s.deferred_social[w++] = e;
       }
     }
-    s.social.deferred.resize(w);
+    s.deferred_social.resize(w);
   }
   for (std::size_t i = s.edge_prefix; i < edge_prefix_new; ++i) {
     if (edge_src_[i] >= n_new || edge_dst_[i] >= n_new) {
-      s.social.deferred.emplace_back(edge_src_[i], edge_dst_[i]);
+      s.deferred_social.emplace_back(edge_src_[i], edge_dst_[i]);
     } else {
       s.delta_edges.emplace_back(edge_src_[i], edge_dst_[i]);
     }
@@ -553,7 +533,7 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
     if (!snap.social.append_sorted_links(n_new, s.delta_src, s.delta_dst)) {
       // Slack exhausted somewhere: full rebuild re-reserves against the
       // grown degrees (amortized-doubling, so this stays rare).
-      filter_social(n_new, edge_prefix_new, snap, s.social, /*slack=*/true);
+      filter_social(n_new, edge_prefix_new, snap, &s);
     }
   }
 
@@ -569,22 +549,21 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
   // of its members_of list (global time order), which append cannot
   // express — rebuild the layer instead. ----
   bool activated = false;
-  for (const auto& [u, a] : s.attr_links.deferred) {
+  for (const auto& [u, a] : s.deferred_attr) {
     if (u < n_new && snap.attribute_created[a]) {
       activated = true;
       break;
     }
   }
   if (activated) {
-    build_attribute_links(n_new, link_prefix_new, snap, s.attr_links,
-                          /*slack=*/true);
+    build_attribute_links(n_new, link_prefix_new, snap, &s);
   } else {
     s.delta_users.clear();
     s.delta_attrs.clear();
     for (std::size_t i = s.link_prefix; i < link_prefix_new; ++i) {
       if (link_user_[i] >= n_new ||
           !snap.attribute_created[link_attr_[i]]) {
-        s.attr_links.deferred.emplace_back(link_user_[i], link_attr_[i]);
+        s.deferred_attr.emplace_back(link_user_[i], link_attr_[i]);
       } else {
         s.delta_users.push_back(link_user_[i]);
         s.delta_attrs.push_back(link_attr_[i]);
@@ -594,15 +573,14 @@ void SanTimeline::advance(double time, SanSnapshot& snap, Scratch& s) const {
         n_attr > snap.attribute.right_count()) {
       if (!snap.attribute.append_links(n_new, n_attr, s.delta_users,
                                        s.delta_attrs)) {
-        build_attribute_links(n_new, link_prefix_new, snap, s.attr_links,
-                              /*slack=*/true);
+        build_attribute_links(n_new, link_prefix_new, snap, &s);
       }
     }
   }
 
   snap.attribute_link_count = snap.attribute.link_count();
   snap.dropped_link_count =
-      s.social.deferred.size() + s.attr_links.deferred.size();
+      s.deferred_social.size() + s.deferred_attr.size();
   snap.time = time;
   s.generation = snap.generation;
   s.n_social = n_new;

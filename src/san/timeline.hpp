@@ -21,12 +21,13 @@
 //     nodes + still-dropped links) for m new links, plus one merge per
 //     touched list, with no pass over the id space. It falls back to a
 //     full rebuild when slack is exhausted or a previously dropped link
-//     activates. That rebuild is the same filter,
-//     laid out with slack headroom per node, plus one serial O(prefix)
-//     sweep collecting the dropped links when any were dropped;
-//   - sweep(times, visit): advance one snapshot through the grid, reusing
-//     one scratch set, so a whole replay costs O(total links) amortized
-//     instead of O(sum of prefixes) and the steady state allocates nothing.
+//     activates. That rebuild is the same filter into fresh arrays, laid
+//     out with slack headroom per node, plus one serial O(prefix) sweep
+//     collecting the dropped links when any were dropped;
+//   - sweep(times, visit): advance one snapshot through the grid, so a
+//     whole replay costs O(total links) amortized instead of O(sum of
+//     prefixes). The appends reuse the snapshot's own scratch; only the
+//     rare full rebuilds allocate.
 //
 // Results are bit-identical to the naive san::snapshot_at at every time and
 // at any SAN_THREADS count: the stable time order fixes members_of
@@ -49,8 +50,6 @@ namespace san {
 class SanTimeline {
  private:
   struct Scratch;
-  struct SocialBuffers;
-  struct AttrLinkBuffers;
   struct LinkIndex;
 
  public:
@@ -60,8 +59,9 @@ class SanTimeline {
   ~SanTimeline();
 
   /// Delta-sweep state: one Materializer + one SanSnapshot advance a
-  /// snapshot day to day allocation-free in the steady state (sweep()
-  /// holds one, LiveTimeline one per epoch buffer). Not thread-safe; the
+  /// snapshot day to day (sweep() holds one, LiveTimeline one per epoch
+  /// buffer). It keeps only the log prefixes and dropped links of its last
+  /// output; the snapshot's arrays are the only copy. Not thread-safe; the
   /// timeline it borrows must outlive it.
   class Materializer {
    public:
@@ -144,15 +144,17 @@ class SanTimeline {
   void advance(double time, SanSnapshot& snap, Scratch& s) const;
   /// The link index, built on first use under index_mutex_.
   const LinkIndex& link_index() const;
-  /// Social layer filtered from the link index through `buffers`, packed
-  /// or (`slack`) in the slack layout with the dropped links kept in
-  /// buffers.deferred; returns the dropped count.
+  /// Social layer filtered from the link index into fresh arrays the
+  /// snapshot adopts: packed, or (`slack` non-null) in the slack layout
+  /// with the dropped links kept in slack->deferred_social. Returns the
+  /// dropped count.
   std::size_t filter_social(std::size_t n_social, std::size_t edge_prefix,
-                            SanSnapshot& snap, SocialBuffers& buffers,
-                            bool slack) const;
-  void build_attribute_links(std::size_t n_social, std::size_t link_prefix,
-                             SanSnapshot& snap, AttrLinkBuffers& buffers,
-                             bool slack) const;
+                            SanSnapshot& snap, Scratch* slack) const;
+  /// Attribute layer from the <= link_prefix log slice, laid out like
+  /// filter_social's; returns the dropped count.
+  std::size_t build_attribute_links(std::size_t n_social,
+                                    std::size_t link_prefix, SanSnapshot& snap,
+                                    Scratch* slack) const;
 
   // Columnar logs, stably sorted by time (ties keep append order).
   std::vector<double> social_node_times_;

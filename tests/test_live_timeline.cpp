@@ -304,18 +304,15 @@ TEST(LiveTimeline, NonFiniteTipsAreRejected) {
 }
 
 /// The TSan target: four writers ingesting concurrently (they serialize on
-/// the writer mutex), a publisher thread forcing epochs mid-stream, and a
-/// reader hammering tip(). Every epoch the reader observes must have a
+/// the writer mutex, and each ingest publishes an epoch) and a reader
+/// hammering tip(). Every epoch the reader observes must have a
 /// non-decreasing time, and the final epoch must equal the from-scratch
 /// rebuild of whatever log the race admitted.
 TEST(LiveTimeline, MultiWriterIngestRacingPublisherAndReader) {
   constexpr std::size_t kWriters = 4;
   const auto schedule = random_schedule(0xbeef, 96);
 
-  LiveTimelineOptions options;
-  // No cadence publishes: the publisher thread drives the epoch clock.
-  options.batches_per_epoch = schedule.size() + 1;
-  LiveTimeline live(SocialAttributeNetwork{}, options);
+  LiveTimeline live;
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> stale{0};
@@ -336,12 +333,6 @@ TEST(LiveTimeline, MultiWriterIngestRacingPublisherAndReader) {
       }
     });
   }
-  std::thread publisher([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      live.publish();
-      std::this_thread::yield();
-    }
-  });
   std::thread reader([&] {
     double last_time = -1.0;
     std::uint64_t reads = 0;
@@ -360,43 +351,29 @@ TEST(LiveTimeline, MultiWriterIngestRacingPublisherAndReader) {
 
   for (auto& t : writers) t.join();
   done.store(true, std::memory_order_release);
-  publisher.join();
   reader.join();
 
-  live.publish();
   expect_epoch_matches_rebuild(live);
   const auto stats = live.stats();
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.batches + stale.load(), schedule.size());
 }
 
-TEST(LiveTimeline, PublishCadenceAndExplicitPublish) {
-  LiveTimelineOptions options;
-  options.batches_per_epoch = 3;
-  LiveTimeline live(SocialAttributeNetwork{}, options);
+TEST(LiveTimeline, EveryIngestPublishes) {
+  LiveTimeline live;
   EXPECT_EQ(live.stats().epochs, 1u);  // the seed epoch
   EXPECT_EQ(live.epoch(), 0u);
+  EXPECT_EQ(live.tip_time(), 0.0);
 
   IngestBatch batch;
-  for (const double tip : {1.0, 2.0}) {
+  for (const double tip : {1.0, 2.0, 3.0, 4.0}) {
     batch.tip = tip;
     live.ingest(batch);
+    const auto stats = live.stats();
+    EXPECT_EQ(stats.epochs, stats.batches + 1);
+    EXPECT_EQ(live.epoch(), stats.batches);
+    EXPECT_EQ(live.tip_time(), batch.tip);
   }
-  EXPECT_EQ(live.stats().epochs, 1u);  // cadence not reached
-  EXPECT_EQ(live.tip_time(), 0.0);     // readers still see the seed
-  batch.tip = 3.0;
-  live.ingest(batch);  // third batch publishes
-  EXPECT_EQ(live.stats().epochs, 2u);
-  EXPECT_EQ(live.tip_time(), 3.0);
-
-  batch.tip = 4.0;
-  live.ingest(batch);
-  EXPECT_EQ(live.tip_time(), 3.0);
-  live.publish();  // forced
-  EXPECT_EQ(live.tip_time(), 4.0);
-  EXPECT_EQ(live.stats().epochs, 3u);
-  live.publish();  // no-op: tip already visible
-  EXPECT_EQ(live.stats().epochs, 3u);
 }
 
 TEST(LiveTimeline, RetiredEpochBuffersAreRecycled) {
@@ -513,13 +490,10 @@ TEST(LiveOracle, PinnedEpochGrowsThePoolAndLaggingBufferCatchesUp) {
 }
 
 TEST(LiveOracle, DeferredAdvanceMatchesRebuildAtEveryPublishedEpoch) {
-  // batches_per_epoch = 3: batches in between only log and index, and the
-  // buffer advance runs at publication. A late batch and a held-link
-  // activation that land on non-publishing batches must still reach the
+  // With two epoch buffers alternating, each buffer's advance covers two
+  // batches. A late batch and a held-link activation must still reach the
   // next published epoch exactly as a rebuild would.
-  LiveTimelineOptions options;
-  options.batches_per_epoch = 3;
-  LiveTimeline live(SocialAttributeNetwork{}, options);
+  LiveTimeline live;
   const auto link = [](NodeId src, NodeId dst, double time) {
     TimedSocialEdge e;
     e.src = src;
@@ -541,43 +515,34 @@ TEST(LiveOracle, DeferredAdvanceMatchesRebuildAtEveryPublishedEpoch) {
   schedule[0].attribute_links.push_back({0, 0, 0.7});
   // Node 3 does not exist yet: held until batch 4 admits it.
   schedule[1].social_links = {link(0, 3, 1.5), link(2, 0, 1.8)};
-  schedule[2].social_links = {link(2, 1, 2.5)};  // publishes epoch 1
-  // Batch 4 (not publishing): node 3 joins, so the held 0->3 @1.5 — at
-  // or before the previous tip — activates, which makes the batch late.
+  schedule[2].social_links = {link(2, 1, 2.5)};
+  // Batch 4: node 3 joins, so the held 0->3 @1.5 — at or before the
+  // previous tip — activates, which makes the batch late.
   schedule[3].social_nodes = {3.2};
   schedule[3].attribute_links.push_back({3, 0, 3.4});
-  // Batch 5 (not publishing): an ordinary late link, back at t=2.2.
+  // Batch 5: an ordinary late link, back at t=2.2.
   schedule[4].social_links = {link(1, 0, 2.2), link(3, 2, 4.5)};
-  schedule[5].social_links = {link(3, 1, 5.5)};  // publishes epoch 2
+  schedule[5].social_links = {link(3, 1, 5.5)};
 
-  double visible = 0.0;  // the seed epoch's tip
   for (std::size_t b = 0; b < schedule.size(); ++b) {
     SCOPED_TRACE(testing::Message() << "batch " << b + 1);
     live.ingest(schedule[b]);
-    if ((b + 1) % 3 == 0) {
-      visible = schedule[b].tip;
-      expect_epoch_matches_rebuild(live);
-    }
-    EXPECT_EQ(live.tip_time(), visible);
-    EXPECT_EQ(live.stats().epochs, 1 + (b + 1) / 3);
+    expect_epoch_matches_rebuild(live);
+    EXPECT_EQ(live.tip_time(), schedule[b].tip);
+    EXPECT_EQ(live.stats().epochs, b + 2);
   }
   const auto stats = live.stats();
   EXPECT_EQ(stats.activated_links, 1u);
   EXPECT_EQ(stats.late_batches, 2u);
   EXPECT_EQ(stats.pending_links, 0u);
 
-  // The same cadence over the randomized schedule: every epoch a publish
-  // makes visible, forced or not, equals the rebuild.
-  LiveTimeline random_live(SocialAttributeNetwork{}, options);
+  // The same check over the randomized schedule: every epoch equals the
+  // rebuild.
+  LiveTimeline random_live;
   for (const auto& batch : random_schedule(0xc0de, 40)) {
-    const std::uint64_t before = random_live.epoch();
     random_live.ingest(batch);
-    if (random_live.epoch() != before) {
-      expect_epoch_matches_rebuild(random_live);
-    }
+    expect_epoch_matches_rebuild(random_live);
   }
-  random_live.publish();
-  expect_epoch_matches_rebuild(random_live);
   EXPECT_GT(random_live.stats().late_batches, 0u);
   EXPECT_GT(random_live.stats().activated_links, 0u);
 }

@@ -161,6 +161,25 @@ TEST(Serialization, UnknownAttributeIdNamesTheRecord) {
   EXPECT_EQ(error.rfind("load_san: attribute_links 1: ", 0), 0u) << error;
 }
 
+TEST(Serialization, DuplicateSocialLinkNamesTheRecord) {
+  // The reverse link 1 -> 0 is distinct; the second 0 -> 1 is not.
+  const std::string error = load_error(two_user_san(
+      "social_links 3\n0 1 1.0\n1 0 1.5\n0 1 2.0\n", "attribute_links 0\n"));
+  EXPECT_EQ(error, "load_san: social_links 2: duplicate link");
+}
+
+TEST(Serialization, SelfLinkNamesTheRecord) {
+  const std::string error = load_error(two_user_san(
+      "social_links 2\n0 1 1.0\n1 1 2.0\n", "attribute_links 0\n"));
+  EXPECT_EQ(error, "load_san: social_links 1: self link");
+}
+
+TEST(Serialization, DuplicateAttributeLinkNamesTheRecord) {
+  const std::string error = load_error(two_user_san(
+      "social_links 0\n", "attribute_links 3\n0 0 1.0\n1 0 1.5\n0 0 2.0\n"));
+  EXPECT_EQ(error, "load_san: attribute_links 2: duplicate link");
+}
+
 TEST(Serialization, DecreasingJoinTimeNamesTheRecord) {
   const std::string error = load_error(
       "SANv1\nsocial_nodes 3\n1.0\n2.0\n1.5\nattribute_nodes 0\n"

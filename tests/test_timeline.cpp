@@ -386,8 +386,10 @@ TEST(Timeline, AdvanceTakesTheDeltaPathOnACopyOfItsLastOutput) {
   // A copy shares its original's generation, so the Materializer treats it
   // as its own last output and takes the delta path. Observable through
   // storage: a delta with nothing to append leaves the copy's buffers in
-  // place, where a full build always swaps in the scratch's. Advancing
-  // stamps the copy anew, so the original no longer matches and rebuilds.
+  // place, where a full build always adopts freshly allocated ones (built
+  // while the old ones are still held, so the address must change).
+  // Advancing stamps the copy anew, so the original no longer matches and
+  // rebuilds.
   const auto net = san::testlib::model_san(300, 8);
   const SanTimeline timeline(net);
   const double mid = timeline.max_time() / 2.0;

@@ -9,8 +9,9 @@ Checks, stdlib only:
      root, then src/, then the doc's own directory; `{a,b}` braces expand
      to one path each, and git-ignored build outputs (`build/`) pass;
   3. the subcommand table in README.md matches `san_tool help` exactly
-     (same names, no drift in either direction), and every subcommand's
-     `san_tool help NAME` page exists (exit 0).
+     (same names, no drift in either direction), every subcommand's
+     `san_tool help NAME` page exists (exit 0), and each row's synopsis
+     equals that page's `usage:` line (a flag on one side only fails).
 
 Usage: tools/check_docs.py [--san-tool PATH] [--root DIR]
 The drift check is skipped (with a warning) when --san-tool is omitted,
@@ -35,7 +36,7 @@ BRACE_RE = re.compile(r"\{([^{}]*)\}")
 # Docs whose backticked paths must exist.
 PATH_CHECKED_DOCS = ("README.md", "docs/ARCHITECTURE.md")
 # README subcommand table rows: | `name` | `synopsis` | purpose |
-TABLE_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9-]*)`\s*\|")
+TABLE_ROW_RE = re.compile(r"^\|\s*`([a-z][a-z0-9-]*)`\s*\|(?:\s*`([^`]*)`)?")
 # `san_tool help` subcommand listing rows: two-space indent, name, summary.
 HELP_ROW_RE = re.compile(r"^  ([a-z][a-z0-9-]*)\s{2,}\S")
 
@@ -109,12 +110,14 @@ def check_code_paths(root, rel):
 
 
 def readme_subcommands(root):
-    names = []
+    """{name: synopsis} of the README table rows, in table order; a `|`
+    escaped for the markdown table reads as a plain `|`."""
+    rows = {}
     for line in open(os.path.join(root, "README.md"), encoding="utf-8"):
         m = TABLE_ROW_RE.match(line)
         if m and m.group(1) != "help":
-            names.append(m.group(1))
-    return names
+            rows[m.group(1)] = (m.group(2) or "").replace("\\|", "|")
+    return rows
 
 
 def san_tool_subcommands(san_tool):
@@ -142,16 +145,25 @@ def check_drift(root, san_tool):
         return errors
     if not documented:
         return ["README.md: no subcommand table rows found (| `name` | ...)"]
-    if documented != actual:
+    if list(documented) != actual:
         return [
             "README.md subcommand table drifted from `san_tool help`:\n"
-            f"  documented: {documented}\n  san_tool:   {actual}"
+            f"  documented: {list(documented)}\n  san_tool:   {actual}"
         ]
     for name in actual:
         page = subprocess.run([san_tool, "help", name],
                               capture_output=True, text=True)
         if page.returncode != 0 or name not in page.stdout:
             errors.append(f"`san_tool help {name}` missing or broken")
+            continue
+        usage = page.stdout.splitlines()[0].removeprefix("usage: ")
+        if documented[name] != usage:
+            readme, binary = documented[name].split(), usage.split()
+            errors.append(
+                f"README.md `{name}` synopsis drifted from its usage line:\n"
+                f"  README:   {documented[name]}\n  san_tool: {usage}\n"
+                f"  only in README:   {[t for t in readme if t not in binary]}\n"
+                f"  only in san_tool: {[t for t in binary if t not in readme]}")
     return errors
 
 

@@ -7,12 +7,11 @@
 //   san_tool crawl FILE --day D [--private P] -o FILE
 //   san_tool communities FILE [--attribute-weight W]
 //   san_tool live FILE --workload W [--start D] [--cache N] [--batch B]
-//            [--publish-every K] [--stats-json FILE] [--trace FILE]
-//            [--stats-every N]
+//            [--stats-json FILE] [--trace FILE] [--stats-every N]
 //   san_tool serve FILE --workload W [--cache N] [--batch B]
 //            [--stats-json FILE] [--trace FILE] [--stats-every N]
 //   san_tool listen FILE [--port P] [--start D] [--cache N] [--batch B]
-//            [--max-delay-us U] [--publish-every K] [--max-line-bytes N]
+//            [--max-delay-us U] [--max-line-bytes N]
 //            [--max-outbound-bytes N] [--drain-timeout-ms N]
 //            [--sndbuf BYTES] [--stats-json FILE] [--trace FILE]
 //   san_tool genload [--queries N] [--nodes N] [--seed S] [--zipf Z]
@@ -139,32 +138,29 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                         social links (default: 0)\n"},
     {"live",
      "san_tool live FILE --workload W [--start D] [--cache N] [--batch B]"
-     " [--publish-every K] [--stats-json FILE] [--trace FILE]"
-     " [--stats-every N]",
+     " [--stats-json FILE] [--trace FILE] [--stats-every N]",
      "replay FILE as a live ingest stream while serving queries",
      "Treats the SANv1 file as a future event stream: events up to day D\n"
      "seed a frozen history, the rest ingest at runtime through\n"
      "san::LiveTimeline as the workload's `ingest` lines advance the tip.\n"
-     "Each ingested batch delta-appends into the private tip snapshot\n"
-     "(PR 4 slack machinery) and every K batches an immutable epoch is\n"
-     "published by an atomic snapshot swap — queries never block on\n"
-     "ingest. Query lines run through the same engine as `serve`: numeric\n"
-     "times at or before D resolve exactly against the frozen history,\n"
-     "times past D and the `now` token resolve against the latest\n"
-     "published epoch. One result line per query on stdout; QPS, ingest\n"
-     "rate, epoch count, and cache stats on stderr.\n"
+     "Each ingested batch delta-appends into an idle epoch buffer (per-node\n"
+     "slack) and is published as an immutable epoch by an atomic snapshot\n"
+     "swap — queries never block on ingest. Query lines run through the\n"
+     "same engine as `serve`: numeric times at or before D resolve exactly\n"
+     "against the frozen history, times past D and the `now` token resolve\n"
+     "against the latest published epoch. One result line per query on\n"
+     "stdout; QPS, ingest rate, epoch count, and cache stats on stderr.\n"
      "\n"
      "  --workload W        workload file (required): `serve` grammar plus\n"
      "                      `ingest <tip>` lines, tips strictly increasing\n"
      "  --start D           seed horizon day, >= 0 (default: 0)\n"
      "  --cache N           frozen snapshots kept resident (default: 8)\n"
      "  --batch B           queries admitted per batch (default: 1024)\n"
-     "  --publish-every K   batches per published epoch, >= 1 (default: 1)\n"
      "  --stats-json FILE   write a flat JSON telemetry snapshot on exit:\n"
      "                      per-query-type latency percentiles, cache\n"
      "                      counters, ingest phase timings (absorb /\n"
      "                      advance / publish), ingest-to-publish\n"
-     "                      latency, and epoch cadence\n"
+     "                      latency, and the gap between epochs\n"
      "                      (enables latency capture)\n"
      "  --trace FILE        write a Chrome trace-event JSON of the\n"
      "                      recorded spans on exit; load it in Perfetto\n"
@@ -235,7 +231,7 @@ constexpr SubcommandDoc kSubcommands[] = {
      "number and the offending token (exit 1).\n"},
     {"listen",
      "san_tool listen FILE [--port P] [--start D] [--cache N] [--batch B]"
-     " [--max-delay-us U] [--publish-every K] [--max-line-bytes N]"
+     " [--max-delay-us U] [--max-line-bytes N]"
      " [--max-outbound-bytes N] [--drain-timeout-ms N] [--sndbuf BYTES]"
      " [--stats-json FILE] [--trace FILE]",
      "serve the query grammar over a loopback TCP socket",
@@ -273,7 +269,6 @@ constexpr SubcommandDoc kSubcommands[] = {
      "                      keep arriving (an idle loop flushes at\n"
      "                      once); 0 = flush every loop pass\n"
      "                      (default: 1000)\n"
-     "  --publish-every K   live: batches per published epoch (default: 1)\n"
      "  --max-line-bytes N  protocol line cap; longer lines get an ERR\n"
      "                      and a disconnect (default: 65536)\n"
      "  --max-outbound-bytes N  per-connection outbound buffer cap before\n"
@@ -677,7 +672,6 @@ struct SessionOptions {
   std::optional<double> start;
   std::size_t cache_size = 8;
   std::size_t batch_size = 1024;
-  std::size_t publish_every = 1;
   const char* stats_json = nullptr;
   const char* trace = nullptr;
   std::size_t stats_every = 0;  // 0 = no periodic stderr line
@@ -694,8 +688,6 @@ SessionOptions read_session_options(const Flags& flags, bool always_live) {
   }
   options.cache_size = flags.integer("--cache", options.cache_size, 1);
   options.batch_size = flags.integer("--batch", options.batch_size, 1);
-  options.publish_every =
-      flags.integer("--publish-every", options.publish_every, 1);
   options.stats_json = flags.text("--stats-json");
   options.trace = flags.text("--trace");
   options.stats_every = flags.integer("--stats-every", 0, 1);
@@ -734,7 +726,6 @@ struct Session {
         cache(frozen, options.cache_size) {
     if (replay) {
       LiveTimelineOptions live_options;
-      live_options.batches_per_epoch = options.publish_every;
       live_options.initial_tip = *options.start;  // attr catalog times may
                                                   // lie ahead
       live.emplace(replay->seed, live_options);
@@ -897,7 +888,6 @@ int cmd_replay(const Flags& flags, const char* path, bool live_replay) {
                  kernels);
     return session.export_telemetry();
   }
-  live->publish();
   const auto live_stats = live->stats();
   const double ingest_seconds = session.ingest_seconds;
   std::fprintf(

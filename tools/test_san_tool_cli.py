@@ -139,9 +139,6 @@ def test_usage_errors():
            ["invalid --cache"])
     expect("live without --workload -> exit 2", run("live", "f.san"), 2,
            ["requires --workload"])
-    expect("live bad --publish-every -> exit 2",
-           run("live", "f.san", "--workload", "w", "--publish-every", "0"),
-           2, ["invalid --publish-every"])
     expect("live bad --start -> exit 2",
            run("live", "f.san", "--workload", "w", "--start", "-1"), 2,
            ["invalid --start"])
@@ -247,6 +244,13 @@ def test_strict_flags(tmp):
     expect("listen flag of another subcommand -> exit 2",
            run("listen", san, "--workload", workload, timeout=30), 2,
            ["unknown flag '--workload' for listen"])
+    # Every ingest publishes: the old epoch-cadence flag is gone.
+    expect("live --publish-every -> exit 2",
+           run(*live, "--publish-every", "2"), 2,
+           ["unknown flag '--publish-every'", "usage:"])
+    expect("listen --publish-every -> exit 2",
+           run("listen", san, "--start", "10", "--publish-every", "2",
+               timeout=30), 2, ["unknown flag '--publish-every'"])
     expect("measure stray argument -> exit 2",
            run("measure", san, "extra"), 2,
            ["unexpected argument 'extra' for measure"])
