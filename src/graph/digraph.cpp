@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace san::graph {
+
+Digraph::Digraph(std::vector<std::vector<NodeId>> out,
+                 std::vector<std::vector<NodeId>> in)
+    : out_(std::move(out)), in_(std::move(in)) {
+  if (out_.size() != in_.size()) {
+    throw std::invalid_argument("Digraph: out and in lists differ in length");
+  }
+  for (const auto& list : out_) edge_count_ += list.size();
+}
 
 NodeId Digraph::add_node() {
   out_.emplace_back();

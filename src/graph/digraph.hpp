@@ -15,6 +15,11 @@ class Digraph {
  public:
   Digraph() = default;
   explicit Digraph(std::size_t node_count) { add_nodes(node_count); }
+  /// Adopt per-node out- and in-lists that already describe one simple
+  /// digraph: u -> v appears once in out[u] and once in in[v], never with
+  /// u == v. The caller checks this; add_edge would have refused the rest.
+  Digraph(std::vector<std::vector<NodeId>> out,
+          std::vector<std::vector<NodeId>> in);
 
   /// Append one node; returns its id.
   NodeId add_node();

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "san/live_timeline.hpp"
@@ -31,27 +32,34 @@ struct LiveReplay {
     const auto times = net.social_node_times();
     std::size_t seed_nodes = 0;
     while (seed_nodes < times.size() && times[seed_nodes] <= start) {
-      seed.add_social_node(times[seed_nodes]);
       ++seed_nodes;
     }
+    // The seed is a subset of a valid network, so from_logs builds it in
+    // one pass without refusing a record.
+    SanColumns columns;
+    columns.social_times.assign(
+        times.begin(), times.begin() + static_cast<std::ptrdiff_t>(seed_nodes));
+    const auto attr_times = net.attribute_node_times();
+    columns.attribute_times.assign(attr_times.begin(), attr_times.end());
     for (AttrId a = 0; a < net.attribute_node_count(); ++a) {
-      seed.add_attribute_node(net.attribute_type(a), net.attribute_name(a),
-                              net.attribute_node_time(a));
+      columns.attribute_types.push_back(net.attribute_type(a));
+      columns.attribute_names.push_back(net.attribute_name(a));
     }
     for (const auto& e : net.social_log()) {
       if (e.time <= start && e.src < seed_nodes && e.dst < seed_nodes) {
-        seed.add_social_link(e.src, e.dst, e.time);
+        columns.social_log.push_back(e);
       } else {
         edges.push_back(e);
       }
     }
     for (const auto& link : net.attribute_log()) {
       if (link.time <= start && link.user < seed_nodes) {
-        seed.add_attribute_link(link.user, link.attr, link.time);
+        columns.attribute_log.push_back(link);
       } else {
         links.push_back(link);
       }
     }
+    seed = SocialAttributeNetwork::from_logs(std::move(columns));
     node_times.assign(times.begin() + static_cast<std::ptrdiff_t>(seed_nodes),
                       times.end());
     std::stable_sort(edges.begin(), edges.end(),

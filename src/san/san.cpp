@@ -1,9 +1,52 @@
 #include "san/san.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace san {
+namespace {
+
+[[noreturn]] void bad_record(const char* section, std::size_t index,
+                             const char* reason) {
+  throw std::invalid_argument(std::string(section) + ' ' +
+                              std::to_string(index) + ": " + reason);
+}
+
+/// The log index of the first of `count` records that repeats an earlier
+/// record's (key, value) pair, or `count` if none does. lists[k] holds the
+/// values of key k's records in log order and key_of(i) is record i's key.
+/// One stamp per value id finds each key's first repeat in O(count); only
+/// when there is one does a second pass map it back to its log index.
+template <typename Value, typename KeyOf>
+std::size_t first_repeat(const std::vector<std::vector<Value>>& lists,
+                         std::size_t value_count, std::size_t count,
+                         KeyOf&& key_of) {
+  constexpr auto kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> stamp(value_count, kNone);
+  std::vector<std::size_t> repeat_at;  // per key; filled on the first repeat
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    const auto& list = lists[k];
+    for (std::size_t p = 0; p < list.size(); ++p) {
+      if (stamp[list[p]] == k) {
+        if (repeat_at.empty()) repeat_at.assign(lists.size(), kNone);
+        repeat_at[k] = p;
+        break;
+      }
+      stamp[list[p]] = k;
+    }
+  }
+  if (repeat_at.empty()) return count;
+  std::vector<std::size_t> seen(lists.size(), 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = key_of(i);
+    if (seen[k]++ == repeat_at[k]) return i;
+  }
+  return count;
+}
+
+}  // namespace
 
 std::string to_string(AttributeType type) {
   switch (type) {
@@ -19,6 +62,106 @@ std::string to_string(AttributeType type) {
       return "Other";
   }
   return "Unknown";
+}
+
+SocialAttributeNetwork SocialAttributeNetwork::from_logs(SanColumns columns) {
+  const std::size_t n = columns.social_times.size();
+  const std::size_t m = columns.attribute_times.size();
+  if (columns.attribute_types.size() != m ||
+      columns.attribute_names.size() != m) {
+    throw std::invalid_argument(
+        "from_logs: attribute catalog columns differ in length");
+  }
+  const auto& times = columns.social_times;
+  for (std::size_t u = 1; u < n; ++u) {
+    if (times[u] < times[u - 1]) {
+      bad_record("social_nodes", u, "decreasing join time");
+    }
+  }
+
+  // Each section: find its first unknown id or self link, fill the
+  // per-node lists in log order up to it (reserved from exact counts),
+  // then report whichever comes first, that record or a repeated link.
+  const auto& social = columns.social_log;
+  std::size_t social_end = social.size();
+  const char* social_fault = nullptr;
+  std::vector<std::vector<NodeId>> out(n), in(n);
+  {
+    std::vector<std::size_t> out_count(n, 0), in_count(n, 0);
+    for (std::size_t i = 0; i < social.size(); ++i) {
+      const auto& e = social[i];
+      if (e.src >= n || e.dst >= n || e.src == e.dst) {
+        social_end = i;
+        social_fault =
+            e.src >= n || e.dst >= n ? "unknown node id" : "self link";
+        break;
+      }
+      ++out_count[e.src];
+      ++in_count[e.dst];
+    }
+    for (std::size_t u = 0; u < n; ++u) {
+      out[u].reserve(out_count[u]);
+      in[u].reserve(in_count[u]);
+    }
+  }
+  for (std::size_t i = 0; i < social_end; ++i) {
+    out[social[i].src].push_back(social[i].dst);
+    in[social[i].dst].push_back(social[i].src);
+  }
+  const std::size_t social_repeat = first_repeat(
+      out, n, social_end, [&](std::size_t i) { return social[i].src; });
+  if (social_repeat < social_end) {
+    bad_record("social_links", social_repeat, "duplicate link");
+  }
+  if (social_fault != nullptr) {
+    bad_record("social_links", social_end, social_fault);
+  }
+
+  const auto& links = columns.attribute_log;
+  std::size_t links_end = links.size();
+  const char* links_fault = nullptr;
+  std::vector<std::vector<AttrId>> attributes(n);
+  std::vector<std::vector<NodeId>> members(m);
+  {
+    std::vector<std::size_t> user_count(n, 0), member_count(m, 0);
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (links[i].user >= n || links[i].attr >= m) {
+        links_end = i;
+        links_fault = links[i].user >= n ? "unknown social node"
+                                         : "unknown attribute id";
+        break;
+      }
+      ++user_count[links[i].user];
+      ++member_count[links[i].attr];
+    }
+    for (std::size_t u = 0; u < n; ++u) attributes[u].reserve(user_count[u]);
+    for (std::size_t a = 0; a < m; ++a) members[a].reserve(member_count[a]);
+  }
+  for (std::size_t i = 0; i < links_end; ++i) {
+    attributes[links[i].user].push_back(links[i].attr);
+    members[links[i].attr].push_back(links[i].user);
+  }
+  const std::size_t links_repeat = first_repeat(
+      attributes, m, links_end, [&](std::size_t i) { return links[i].user; });
+  if (links_repeat < links_end) {
+    bad_record("attribute_links", links_repeat, "duplicate link");
+  }
+  if (links_fault != nullptr) {
+    bad_record("attribute_links", links_end, links_fault);
+  }
+  for (auto& run : attributes) std::sort(run.begin(), run.end());
+
+  SocialAttributeNetwork net;
+  net.social_ = graph::Digraph(std::move(out), std::move(in));
+  net.social_times_ = std::move(columns.social_times);
+  net.members_ = std::move(members);
+  net.attributes_ = std::move(attributes);
+  net.attr_types_ = std::move(columns.attribute_types);
+  net.attr_names_ = std::move(columns.attribute_names);
+  net.attribute_times_ = std::move(columns.attribute_times);
+  net.social_log_ = std::move(columns.social_log);
+  net.attribute_log_ = std::move(columns.attribute_log);
+  return net;
 }
 
 NodeId SocialAttributeNetwork::add_social_node(double time) {

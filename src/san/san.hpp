@@ -45,8 +45,29 @@ struct TimedAttributeLink {
   double time = 0.0;
 };
 
+/// A network's columns, in the order a SANv1 file lists them: the social
+/// node join times, the attribute catalog (types, names and creation
+/// times, one entry per attribute id) and both link logs in log order.
+struct SanColumns {
+  std::vector<double> social_times;
+  std::vector<AttributeType> attribute_types;
+  std::vector<std::string> attribute_names;
+  std::vector<double> attribute_times;
+  std::vector<TimedSocialEdge> social_log;
+  std::vector<TimedAttributeLink> attribute_log;
+};
+
 class SocialAttributeNetwork {
  public:
+  /// Build a network from its columns in one O(nodes + links) pass. The
+  /// result equals adding the nodes, the attributes, the social links and
+  /// then the attribute links one at a time, in every accessor. Throws
+  /// std::invalid_argument "<section> <index>: <reason>" naming the first
+  /// record in column order (social_nodes, social_links, attribute_links)
+  /// that the per-record calls would refuse: a decreasing join time, an
+  /// unknown id, a self link or a duplicate link.
+  static SocialAttributeNetwork from_logs(SanColumns columns);
+
   /// Append a social node joining at `time`; join times must be
   /// non-decreasing so that node ids are chronological.
   NodeId add_social_node(double time = 0.0);

@@ -704,6 +704,23 @@ SessionOptions read_session_options(const Flags& flags, bool always_live) {
   return options;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point begin) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       begin)
+      .count();
+}
+
+/// A SANv1 file's network and the seconds load_san took to read it.
+struct TimedLoad {
+  explicit TimedLoad(const char* path) {
+    const auto begin = std::chrono::steady_clock::now();
+    net = load_san(path);
+    seconds = seconds_since(begin);
+  }
+  SocialAttributeNetwork net;
+  double seconds = 0.0;
+};
+
 /// The serving stack behind `serve`, `live` and `listen`: a frozen
 /// timeline behind the LRU snapshot cache, an optional live binding, the
 /// query engine, and a registry with all of their telemetry attached.
@@ -711,18 +728,20 @@ SessionOptions read_session_options(const Flags& flags, bool always_live) {
 /// rest become the LiveReplay stream that ingest() hands to a
 /// LiveTimeline; the cache resolves later times and `now` to its latest
 /// published epoch. The loaded network is released once the timelines are
-/// built: serving never reads it.
+/// built: serving never reads it. The registry reports the startup stages
+/// once: `session.load_s` (load_san) and `session.build_s` (the replay
+/// split, the live seed and both timelines).
 struct Session {
   Session(const char* path, const SessionOptions& session_options)
-      : Session(load_san(path), session_options) {}
+      : Session(TimedLoad(path), session_options) {}
 
-  Session(const SocialAttributeNetwork& net,
-          const SessionOptions& session_options)
+  Session(const TimedLoad& loaded, const SessionOptions& session_options)
       : options(session_options),
-        replay(options.start ? std::optional<LiveReplay>(
-                                   std::in_place, net, *options.start)
+        replay(options.start ? std::optional<LiveReplay>(std::in_place,
+                                                         loaded.net,
+                                                         *options.start)
                              : std::nullopt),
-        frozen(replay ? replay->seed : net),
+        frozen(replay ? replay->seed : loaded.net),
         cache(frozen, options.cache_size) {
     if (replay) {
       LiveTimelineOptions live_options;
@@ -733,6 +752,12 @@ struct Session {
       replay->seed = SocialAttributeNetwork{};  // both timelines copied it
       live->register_metrics(registry, "live");
     }
+    registry.attach_fn("session.load_s",
+                       [seconds = loaded.seconds] { return seconds; });
+    registry.attach_fn("session.build_s",
+                       [seconds = seconds_since(build_begin)] {
+                         return seconds;
+                       });
     cache.register_metrics(registry, "cache");
     engine.register_metrics(registry, "serve");
     // One-shot kernel-dispatch info (numeric levels; the names stay on
@@ -758,9 +783,7 @@ struct Session {
       const IngestBatch batch = replay->batch_until(tip);
       const auto begin = std::chrono::steady_clock::now();
       live->ingest(batch);
-      ingest_seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - begin)
-                            .count();
+      ingest_seconds += seconds_since(begin);
       ingested_events += batch.social_nodes.size() +
                          batch.social_links.size() +
                          batch.attribute_links.size();
@@ -782,6 +805,9 @@ struct Session {
   }
 
   const SessionOptions options;
+  // Initialised before the replay split, so build_s times all of it.
+  const std::chrono::steady_clock::time_point build_begin =
+      std::chrono::steady_clock::now();
   std::optional<LiveReplay> replay;  // the future event stream (live)
   SanTimeline frozen;
   serve::SnapshotCache cache;
@@ -830,9 +856,7 @@ int cmd_replay(const Flags& flags, const char* path, bool live_replay) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       std::printf("%s\n", results[i].to_line(queued[i]).c_str());
     }
-    query_seconds += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - begin)
-                         .count();
+    query_seconds += seconds_since(begin);
     served += queued.size();
     queued.clear();
     flush_stdout();

@@ -165,6 +165,23 @@ def test_runtime_failures(tmp):
         f.write("this is not a SANv1 file\n")
     expect("measure malformed file -> exit 1", run("measure", bad), 1,
            ["error:"])
+    # Loader diagnostics reach the user with the section and record index.
+    dup = os.path.join(tmp, "dup.san")
+    with open(dup, "w", encoding="utf-8") as f:
+        f.write("SANv1\nsocial_nodes 2\n1\n2\nattribute_nodes 0\n"
+                "social_links 3\n0 1 1\n1 0 1.5\n0 1 2\n"
+                "attribute_links 0\n")
+    listen = run("listen", dup, timeout=30)
+    expect("listen duplicate social link -> exit 1 naming the record",
+           listen, 1, ["load_san: social_links 2: duplicate link"])
+    check("listen on a bad SAN never starts listening",
+          "listening on" not in listen.stderr, listen.stderr[:200])
+    nan = os.path.join(tmp, "nan.san")
+    with open(nan, "w", encoding="utf-8") as f:
+        f.write("SANv1\nsocial_nodes 2\n1\nnan\nattribute_nodes 0\n"
+                "social_links 0\nattribute_links 0\n")
+    expect("measure nan node time -> exit 1 naming the record",
+           run("measure", nan), 1, ["load_san: social_nodes 1: bad time"])
 
 
 def test_end_to_end(tmp):
@@ -756,8 +773,12 @@ def test_telemetry(tmp):
     check("serve telemetry is observation-only",
           serve_telem.stdout == serve_plain.stdout)
     with open(serve_stats, encoding="utf-8") as f:
-        check("serve stats JSON parses with query percentiles",
-              "serve.query.ego.p50_us" in json.load(f))
+        serve_json = json.load(f)
+    check("serve stats JSON parses with query percentiles",
+          "serve.query.ego.p50_us" in serve_json)
+    for key in ("session.load_s", "session.build_s"):
+        check(f"serve stats JSON times startup: {key} > 0",
+              serve_json.get(key, 0) > 0, str(serve_json.get(key)))
 
 
 def test_derived_build_stats(tmp):
